@@ -16,7 +16,6 @@ from __future__ import annotations
 import csv
 import warnings
 from dataclasses import dataclass, field
-from functools import lru_cache
 
 import numpy as np
 
@@ -47,9 +46,6 @@ __all__ = [
     "cd_kernel_diag",
     "excised_integrand",
     "kernel_residue_at_minus_half",
-    "r1_excised",
-    "r1_excised_grid",
-    "r1_excised_detail",
     "r1_excised_line_integral",
     "theta_inf",
     "gap_margin",
@@ -464,11 +460,6 @@ def normalization_ratio(n_pairs: int, log_cutoff: float, truncation_K: int = 10,
     return NormalizationResult(value=value, tail_estimate=float(tail), warning=series.warning, series=series)
 
 
-@lru_cache(maxsize=128)
-def _cached_ratio_value(n_pairs: int, log_cutoff: float, truncation_K: int) -> float:
-    return normalization_ratio(n_pairs, log_cutoff, truncation_K).value
-
-
 # ---------------------------------------------------------------------------
 # line quadrature with asymptotic tail completion
 # ---------------------------------------------------------------------------
@@ -488,7 +479,7 @@ def _ibp_tail(power: float, t0: float, d: float, c: float, levels: int = 6) -> c
     return out
 
 
-def _line_quadrature(n_pairs: int, log_cutoff: float, theta: float, c: float, t_upper=None, tol: float = 1e-10):
+def _line_quadrature(n_pairs: int, log_cutoff: float, theta: float, c: float, t_upper=None):
     """(1/2 pi) times the full vertical-line integral of the excised integrand
     at Re(r) = c, tail-completed with the fitted power-law model.
 
@@ -528,7 +519,7 @@ def _line_quadrature(n_pairs: int, log_cutoff: float, theta: float, c: float, t_
 
 def r1_excised_line_integral(n_pairs: int, log_cutoff: float, theta: float, c: float = 0.5, t_upper=None, tol: float = 1e-9) -> float:
     """Excised one-level density by direct quadrature of the vertical-line
-    integral at Re(r) = c: the independent cross-check of `r1_excised`.
+    integral at Re(r) = c: the independent oracle for `density_grid`.
 
     Inside the hard gap the contour closes to the right and the value is 0.
     Raises DomainError when the truncation-tail estimate exceeds `tol`.
@@ -540,8 +531,8 @@ def r1_excised_line_integral(n_pairs: int, log_cutoff: float, theta: float, c: f
         raise DomainError("theta sits on the hard-gap boundary (d = 0): value is direction-dependent")
     if d < 0:
         return 0.0
-    ratio = _cached_ratio_value(n_pairs, log_cutoff, 10)
-    value, tail_err = _line_quadrature(n_pairs, log_cutoff, theta, c, t_upper, tol)
+    ratio = normalization_ratio(n_pairs, log_cutoff, 10).value
+    value, tail_err = _line_quadrature(n_pairs, log_cutoff, theta, c, t_upper)
     cx_over_cso = 1.0 / ratio
     if tail_err * c_so2n(n_pairs) * cx_over_cso > tol:
         raise DomainError(
@@ -556,7 +547,6 @@ def r1_excised_line_integral(n_pairs: int, log_cutoff: float, theta: float, c: f
 
 def _residue_sum_grid(n_pairs: int, log_cutoff: float, thetas: np.ndarray, truncation_K: int):
     """Residue-series sum (without C_X) and per-theta tail estimate on a grid."""
-    thetas = np.atleast_1d(np.asarray(thetas, dtype=float))
     total = r1_so2n_unscaled(n_pairs, thetas) / c_so2n(n_pairs)
     total = total + kernel_residue_at_minus_half(n_pairs, log_cutoff, thetas)
     th_col = thetas[:, None]
@@ -569,74 +559,19 @@ def _residue_sum_grid(n_pairs: int, log_cutoff: float, thetas: np.ndarray, trunc
     return total, tail
 
 
-def r1_excised_grid(n_pairs: int, log_cutoff: float, thetas, truncation_K: int = 10, tol: float = 1e-9) -> np.ndarray:
-    """Excised one-level density on a grid of angles (vectorized residue sums).
-
-    Zero on the hard gap (the boundary d = 0 is assigned to the gap).  Where
-    the residue-series tail estimate exceeds `tol` (a strip adjoining the gap
-    edge, where the series converges only algebraically) the value is
-    recomputed through the line-contour representation.
-    """
-    thetas = np.atleast_1d(np.asarray(thetas, dtype=float))
-    out = np.zeros_like(thetas)
-    margins = gap_margin(n_pairs, log_cutoff, thetas)
-    live = margins > 0
-    if not np.any(live):
-        return out
-    ratio = _cached_ratio_value(n_pairs, log_cutoff, max(truncation_K, 10))
-    cx = c_so2n(n_pairs) / ratio
-    sums, tails = _residue_sum_grid(n_pairs, log_cutoff, thetas[live], truncation_K)
-    vals = cx * sums
-    bad = cx * tails > tol
-    if np.any(bad):
-        idx = np.nonzero(bad)[0]
-        live_thetas = thetas[live]
-        for i in idx:
-            value, _ = _line_quadrature(n_pairs, log_cutoff, float(live_thetas[i]), 0.5, None, tol)
-            vals[i] = cx * value
-    out[live] = np.maximum(vals, 0.0)
-    return out
-
-
-def r1_excised(n_pairs: int, log_cutoff: float, theta, truncation_K: int = 10, tol: float = 1e-9):
-    """Excised one-level density R_1 at a single angle (or array of angles)."""
-    if np.ndim(theta) == 0:
-        return float(r1_excised_grid(n_pairs, log_cutoff, np.asarray([theta], float), truncation_K, tol)[0])
-    return r1_excised_grid(n_pairs, log_cutoff, theta, truncation_K, tol)
-
-
-def r1_excised_detail(n_pairs: int, log_cutoff: float, theta: float, truncation_K: int = 10, tol: float = 1e-9):
-    """Single-angle evaluation with diagnostics.
-
-    Returns (value, tail_estimate, warning, used_line_route); the tail
-    estimate is the magnitude of the first omitted pole's contribution
-    (scaled by C_X), per the truncation-error model O(exp(-c_K X)).
-    """
-    margin = gap_margin(n_pairs, log_cutoff, theta)
-    if margin <= 0:
-        return 0.0, 0.0, False, False
-    ratio = _cached_ratio_value(n_pairs, log_cutoff, max(truncation_K, 10))
-    cx = c_so2n(n_pairs) / ratio
-    sums, tails = _residue_sum_grid(n_pairs, log_cutoff, np.asarray([theta]), truncation_K)
-    tail = float(cx * tails[0])
-    if tail <= tol:
-        return float(cx * sums[0]), tail, False, False
-    value, tail_err = _line_quadrature(n_pairs, log_cutoff, float(theta), 0.5, None, tol)
-    return float(cx * value), float(cx * tail_err), bool(cx * tail_err > tol), True
-
-
-# ---------------------------------------------------------------------------
-# density grids
-# ---------------------------------------------------------------------------
-
 @dataclass(frozen=True)
 class DensityGrid:
-    """Analytic one-level density values on an ascending theta grid."""
+    """Excised one-level density on an ascending theta grid.  `tails` holds the
+    C_X-scaled tail estimate of the route that produced each value (the line
+    quadrature where `line_route` is set); `ratio` is the normalization used."""
 
     thetas: np.ndarray
     values: np.ndarray
     n_pairs: int
     log_cutoff: float
+    tails: np.ndarray
+    line_route: np.ndarray
+    ratio: NormalizationResult
 
     def __post_init__(self):
         if np.any(np.diff(self.thetas) <= 0):
@@ -645,9 +580,30 @@ class DensityGrid:
             raise DomainError("density values must be nonnegative")
 
 
-def density_grid(n_pairs: int, log_cutoff: float, thetas, truncation_K: int = 10) -> DensityGrid:
-    values = r1_excised_grid(n_pairs, log_cutoff, np.asarray(thetas, float), truncation_K)
-    return DensityGrid(np.asarray(thetas, float), values, n_pairs, log_cutoff)
+def density_grid(n_pairs: int, log_cutoff: float, thetas, truncation_K: int = 10, tol: float = 1e-9) -> DensityGrid:
+    """Excised one-level density R_1 on an ascending grid of angles.
+
+    Zero on the hard gap (the boundary d = 0 is assigned to the gap).  Where
+    the residue-series tail estimate exceeds `tol` (a strip adjoining the gap
+    edge, where the series converges only algebraically) the value is
+    recomputed through the line-contour representation.  A point whose
+    final tail still exceeds `tol` keeps its value; `tails` shows the miss.
+    """
+    thetas = np.atleast_1d(np.asarray(thetas, dtype=float))
+    ratio = normalization_ratio(n_pairs, log_cutoff, max(truncation_K, 10))
+    cx = c_so2n(n_pairs) / ratio.value
+    values = np.zeros_like(thetas)
+    tails = np.zeros_like(thetas)
+    live = gap_margin(n_pairs, log_cutoff, thetas) > 0
+    if np.any(live):
+        sums, residue_tails = _residue_sum_grid(n_pairs, log_cutoff, thetas[live], truncation_K)
+        values[live] = cx * sums
+        tails[live] = cx * residue_tails
+    line_route = tails > tol
+    for i in np.nonzero(line_route)[0]:
+        value, tail_err = _line_quadrature(n_pairs, log_cutoff, float(thetas[i]), 0.5)
+        values[i], tails[i] = cx * value, cx * tail_err
+    return DensityGrid(thetas, np.maximum(values, 0.0), n_pairs, log_cutoff, tails, line_route, ratio)
 
 
 def write_density_csv(grid: DensityGrid, path) -> None:

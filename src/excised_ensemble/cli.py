@@ -120,7 +120,7 @@ def _cmd_density(args) -> int:
     thetas = np.linspace(0.0, np.pi, args.grid)
     grid = analytic.density_grid(args.n, log_cutoff, thetas, truncation_K=args.poles)
     analytic.write_density_csv(grid, args.out)
-    ratio = analytic.normalization_ratio(args.n, log_cutoff, args.poles)
+    ratio = grid.ratio
     payload = _run_summary(
         args,
         theta_inf=analytic.theta_inf(args.n, log_cutoff),
@@ -128,6 +128,8 @@ def _cmd_density(args) -> int:
         ratio_tail_estimate=ratio.tail_estimate,
         ratio_warning=ratio.warning,
         normalization_series=ratio.series.to_json_dict(),
+        line_route_points=int(np.count_nonzero(grid.line_route)),
+        max_tail=float(grid.tails.max(initial=0.0)),
     )
     _write_json(payload, args.summary)
     return 0

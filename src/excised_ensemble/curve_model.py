@@ -9,7 +9,6 @@ deriving them is out of scope.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from typing import Optional
 
@@ -371,8 +370,3 @@ def read_curve_config(path):
     )
     return params, float(raw["X_bound"])
 
-
-def write_cutoff_json(report: CutoffReport, path) -> None:
-    with open(path, "w", newline="\n") as fh:
-        json.dump(report.to_json_dict(), fh, indent=2, sort_keys=True)
-        fh.write("\n")

@@ -6,7 +6,6 @@ error measure used to compare distributions.
 from __future__ import annotations
 
 import csv
-import json
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 
@@ -293,8 +292,3 @@ def summary_json_dict(summary: SampleSummary, spec: ExcisionSpec, seed) -> dict:
         "log_cutoff": spec.log_cutoff,
     }
 
-
-def write_summary_json(summary: SampleSummary, spec: ExcisionSpec, seed, path) -> None:
-    with open(path, "w", newline="\n") as fh:
-        json.dump(summary_json_dict(summary, spec, seed), fh, indent=2, sort_keys=True)
-        fh.write("\n")

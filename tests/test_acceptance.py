@@ -16,13 +16,11 @@ from scipy.stats import chi2
 
 from excised_ensemble.analytic import (
     c_so2n,
+    density_grid,
     h_asymptotic,
     h_exact,
     moments_so2n,
     normalization_ratio,
-    r1_excised,
-    r1_excised_detail,
-    r1_excised_grid,
     r1_excised_line_integral,
     r1_so2n_unscaled,
     selberg_integral,
@@ -141,11 +139,11 @@ def test_c05_one_level_density_consistency(excised_so4_million):
     mid = (edges[:-1] + edges[1:]) / 2
     half = np.diff(edges) / 2
     thetas = (mid[:, None] + half[:, None] * gl_x[None, :]).ravel()
-    vals = r1_excised_grid(2, X_TENTH, thetas, truncation_K=10).reshape(n_bins, -1)
+    vals = density_grid(2, X_TENTH, thetas, truncation_K=10).values.reshape(n_bins, -1)
     bin_integrals = np.sum(vals * gl_w[None, :], axis=1) * half
     straddle = int(np.searchsorted(edges, edge) - 1)
     val, _ = quad(
-        lambda t: r1_excised(2, X_TENTH, t), edges[straddle], edges[straddle + 1],
+        lambda t: density_grid(2, X_TENTH, [t]).values[0], edges[straddle], edges[straddle + 1],
         points=(edge,), limit=100,
     )
     bin_integrals[straddle] = val
@@ -166,7 +164,8 @@ def test_c06_dual_route_identity():
     grid = np.linspace(edge + 0.05, np.pi, 20)
     worst = 0.0
     for theta in grid:
-        value, _, _, used_line = r1_excised_detail(2, X_TENTH, float(theta), truncation_K=40)
+        point = density_grid(2, X_TENTH, [float(theta)], truncation_K=40)
+        value, used_line = point.values[0], point.line_route[0]
         assert not used_line, "residue route must be genuinely used for the dual-route check"
         oracle = r1_excised_line_integral(2, X_TENTH, float(theta))
         worst = max(worst, abs(value - oracle))
@@ -181,7 +180,7 @@ def test_c06_dual_route_identity():
 
 def test_c07_limit_recovery():
     grid = np.linspace(0.001, np.pi, 200)
-    vals = r1_excised_grid(2, -40.0, grid, truncation_K=10)
+    vals = density_grid(2, -40.0, grid, truncation_K=10).values
     sup = float(np.max(np.abs(vals - r1_so2n_unscaled(2, grid))))
     report(7, "X -> -inf recovers SO(4)", sup <= 1e-8, f"sup |diff| {sup:.2e} on 200-point grid")
 
@@ -189,7 +188,7 @@ def test_c07_limit_recovery():
 def test_c08_density_normalization():
     start = time.perf_counter()
     edge = theta_inf(2, X_TENTH)
-    val, est = quad(lambda t: r1_excised(2, X_TENTH, t, truncation_K=10), edge, np.pi, limit=400)
+    val, est = quad(lambda t: density_grid(2, X_TENTH, [t], truncation_K=10).values[0], edge, np.pi, limit=400)
     err = abs(val - 2.0)
     elapsed = time.perf_counter() - start
     report(

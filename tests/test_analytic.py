@@ -15,9 +15,6 @@ from excised_ensemble.analytic import (
     moments_so2n,
     n_level_density,
     normalization_ratio,
-    r1_excised,
-    r1_excised_detail,
-    r1_excised_grid,
     r1_excised_line_integral,
     r1_so2n_scaled_expansion,
     r1_so2n_unscaled,
@@ -285,30 +282,36 @@ class TestExcisedDensity:
     def test_hard_gap_zero(self):
         ti = theta_inf(2, X_TENTH)
         for theta in (0.0, ti / 2, ti):
-            assert r1_excised(2, X_TENTH, theta) == 0.0
+            assert density_grid(2, X_TENTH, [theta]).values[0] == 0.0
 
     def test_limit_recovers_so2n(self):
         for theta in (0.5, 1.5, 3.0):
-            assert r1_excised(2, -40.0, theta) == pytest.approx(
+            assert density_grid(2, -40.0, [theta]).values[0] == pytest.approx(
                 r1_so2n_unscaled(2, theta), abs=1e-8
             )
 
     def test_matches_line_integral_in_bulk(self):
         for theta in (0.7, 1.3, 2.4, 3.1):
-            a = r1_excised(2, X_TENTH, theta, truncation_K=12)
+            a = density_grid(2, X_TENTH, [theta], truncation_K=12).values[0]
             b = r1_excised_line_integral(2, X_TENTH, theta)
             assert a == pytest.approx(b, abs=1e-9)
 
     def test_detail_reports_line_route_near_edge(self):
         ti = theta_inf(2, X_TENTH)
-        _, _, _, used_line = r1_excised_detail(2, X_TENTH, ti + 0.01)
-        assert used_line
-        _, tail, warning, used_line = r1_excised_detail(2, X_TENTH, 2.0, truncation_K=12)
-        assert not used_line and not warning and tail < 1e-9
+        assert density_grid(2, X_TENTH, [ti + 0.01]).line_route[0]
+        bulk = density_grid(2, X_TENTH, [2.0], truncation_K=12)
+        assert not bulk.line_route[0] and bulk.tails[0] < 1e-9
+
+    def test_line_route_tail_is_reported(self):
+        # the line quadrature cannot reach tol = 1e-20; its tail is returned, not hidden
+        ti = theta_inf(2, X_TENTH)
+        dg = density_grid(2, X_TENTH, [ti + 0.01], tol=1e-20)
+        assert dg.line_route[0] and dg.tails[0] > 1e-20
+        assert dg.values[0] == density_grid(2, X_TENTH, [ti + 0.01]).values[0]
 
     def test_nonnegative_on_grid(self):
         grid = np.linspace(0, np.pi, 301)
-        vals = r1_excised_grid(2, X_TENTH, grid)
+        vals = density_grid(2, X_TENTH, grid).values
         assert np.all(vals >= 0)
 
     def test_so2_excised_is_uniform_above_gap(self):
@@ -317,11 +320,11 @@ class TestExcisedDensity:
         ti = theta_inf(1, -2.0)
         expected = 1 / (np.pi - ti)
         for theta in (ti + 0.05, 1.0, 3.0):
-            assert r1_excised(1, -2.0, theta) == pytest.approx(expected, rel=1e-9)
+            assert density_grid(1, -2.0, [theta]).values[0] == pytest.approx(expected, rel=1e-9)
 
     def test_integral_is_n_pairs(self):
         ti = theta_inf(2, X_TENTH)
-        val, _ = quad(lambda t: r1_excised(2, X_TENTH, t), ti, np.pi, limit=300)
+        val, _ = quad(lambda t: density_grid(2, X_TENTH, [t]).values[0], ti, np.pi, limit=300)
         assert val == pytest.approx(2.0, abs=1e-7)
 
 
@@ -393,10 +396,19 @@ class TestDensityGrid:
         assert np.all(dg.values[grid > ti + 0.2] > 0)
 
     def test_invariants_enforced(self):
+        diagnostics = (np.zeros(2), np.zeros(2, dtype=bool), normalization_ratio(2, X_TENTH))
         with pytest.raises(DomainError):
-            DensityGrid(np.array([0.2, 0.1]), np.array([0.0, 0.0]), 2, X_TENTH)
+            DensityGrid(np.array([0.2, 0.1]), np.array([0.0, 0.0]), 2, X_TENTH, *diagnostics)
         with pytest.raises(DomainError):
-            DensityGrid(np.array([0.1, 0.2]), np.array([-0.1, 0.0]), 2, X_TENTH)
+            DensityGrid(np.array([0.1, 0.2]), np.array([-0.1, 0.0]), 2, X_TENTH, *diagnostics)
+
+    def test_ratio_is_the_one_that_scaled_the_values(self):
+        grid = np.linspace(0, np.pi, 9)
+        for poles in (4, 10):
+            dg = density_grid(2, X_TENTH, grid, truncation_K=poles)
+            assert dg.ratio.value == normalization_ratio(2, X_TENTH, 10).value
+        dg = density_grid(2, X_TENTH, grid, truncation_K=12)
+        assert dg.ratio.value == normalization_ratio(2, X_TENTH, 12).value
 
     def test_csv_output(self, tmp_path):
         grid = np.linspace(0, np.pi, 9)

@@ -29,6 +29,10 @@ class TestDensityCommand:
         meta = json.loads(summary.read_text())
         assert meta["theta_inf"] == pytest.approx(np.arccos(1 - 0.1 / 8))
         assert 0 < meta["normalization_ratio"] <= 1
+        # --poles 6 sums 6 density poles; the ratio is never cut below 10
+        assert meta["normalization_series"]["K"] == 10
+        assert isinstance(meta["line_route_points"], int) and meta["line_route_points"] >= 1
+        assert 0 <= meta["max_tail"] <= 1e-9
 
     def test_byte_identical_reruns(self, tmp_path):
         paths = [(tmp_path / f"d{i}.csv", tmp_path / f"s{i}.json") for i in (1, 2)]
