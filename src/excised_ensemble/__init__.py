@@ -7,4 +7,4 @@ elliptic-curve calibration pipeline that fixes the cutoff constants.
 __version__ = "0.1.0"
 
 from . import analytic, curve_model, ensemble, haar, special_functions  # noqa: F401
-from .errors import DomainError, IntegrityError  # noqa: F401
+from .errors import DomainError  # noqa: F401

@@ -5,8 +5,9 @@ compare.  Every run writes a JSON summary recording the seed, the parsed
 parameters, and the package version, so outputs are reproducible
 byte-for-byte from the command line alone.
 
-Exit codes: 0 success, 1 domain/integrity error, 2 usage error (bad flags,
-unreadable config, unwritable output).
+Exit codes: 0 success, 1 domain error (an argument outside the mathematical
+domain, such as a cutoff that empties the ensemble), 2 usage error (bad
+flags, unreadable config, unwritable output).
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ import numpy as np
 
 from . import __version__
 from . import analytic, curve_model, ensemble
-from .errors import DomainError, IntegrityError
+from .errors import DomainError
 from .haar import write_spectra_csv
 
 
@@ -266,7 +267,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (DomainError, IntegrityError) as exc:
+    except DomainError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except OSError as exc:

@@ -263,7 +263,7 @@ class EulerProductResult:
 
     value: float
     p_max: int
-    last_decade_increment: float
+    last_decade_increment: Optional[float]
     decade_values: dict
 
     def __float__(self) -> float:
@@ -293,7 +293,8 @@ def a_s_truncated(weierstrass, conductor_M: int, omega: int, s: float, p_max: in
 
     The conductor factor is always applied (it is a single prime), even when
     p_max < M.  `last_decade_increment` reports |value(p_max) - value(p_max/10)|
-    as a convergence diagnostic.
+    as a convergence diagnostic; it is None for p_max < 100, where there is no
+    earlier decade to compare with.
     """
     if p_max < 2:
         raise DomainError("p_max must be at least 2")
@@ -311,15 +312,21 @@ def a_s_truncated(weierstrass, conductor_M: int, omega: int, s: float, p_max: in
     value = float(np.exp(log_total))
     decade_values[p_max] = value
     prev = [v for k, v in decade_values.items() if k <= p_max / 10]
-    last_inc = abs(value - prev[-1]) if prev else float("nan")
+    last_inc = abs(value - prev[-1]) if prev else None
     return EulerProductResult(value=value, p_max=p_max, last_decade_increment=last_inc, decade_values=decade_values)
 
 
 def cutoff_report(params: CurveFamilyParams, x_bound: float) -> CutoffReport:
-    """Full calibration for one family at twist bound X."""
+    """Full calibration for one family at twist bound X.
+
+    Raises DomainError when N_std rounds below 1, since no matrix of that size
+    exists to carry the absolute cutoffs.
+    """
     ns = n_std(params.conductor_M, x_bound)
     ne = n_eff(ns, params.r1)
     ns_matrix = int(round(ns))
+    if ns_matrix < 1:
+        raise DomainError(f"N_std = {ns:.3g} rounds to {ns_matrix}: twist bound too small for a matrix model")
     ne_matrix = max(1, int(round(ne)))
     cs = cutoff_std(params)
     ce = cutoff_eff(params)

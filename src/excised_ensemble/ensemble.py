@@ -189,16 +189,13 @@ def sample_excised(
     workers = max(1, int(workers))
     shares = [count // workers + (1 if i < count % workers else 0) for i in range(workers)]
     rngs = [np.random.default_rng(s) for s in seq.spawn(workers)]
-    if workers == 1:
-        parts = [_sample_excised_single(spec, count, rngs[0], batch_size, min_acceptance)]
-    else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            futures = [
-                pool.submit(_sample_excised_single, spec, share, rng, batch_size, min_acceptance)
-                for share, rng in zip(shares, rngs)
-                if share > 0
-            ]
-            parts = [f.result() for f in futures]
+    with ThreadPoolExecutor(max_workers=workers) as pool:
+        futures = [
+            pool.submit(_sample_excised_single, spec, share, rng, batch_size, min_acceptance)
+            for share, rng in zip(shares, rngs)
+            if share > 0
+        ]
+        parts = [f.result() for f in futures]
     spectra = np.concatenate([p[0] for p in parts], axis=0)
     total = sum(p[1] for p in parts)
     summary = SampleSummary(

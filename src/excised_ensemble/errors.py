@@ -1,9 +1,5 @@
-"""Exception types shared across the package."""
+"""Exception type shared across the package."""
 
 
 class DomainError(ValueError):
     """An argument lies outside the mathematical domain of an operation."""
-
-
-class IntegrityError(RuntimeError):
-    """An input object violates one of its structural invariants."""

@@ -10,68 +10,20 @@ the det = -1 coset are translated into SO(2N) by flipping the last column
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, IntegrityError
+from .errors import DomainError
 
 __all__ = [
-    "SpecialOrthogonalMatrix",
-    "EigenphaseSpectrum",
-    "sample_so2n",
     "sample_so2n_batch",
-    "eigenphases",
     "eigenphases_batch",
-    "log_char_poly_at_1",
     "log_char_poly_batch",
     "max_log_char_poly",
     "write_spectra_csv",
 ]
 
 _PHASE_CLAMP = 1e-12
-_ORTH_TOL = 1e-10
-_DET_TOL = 1e-8
-
-
-@dataclass(frozen=True)
-class SpecialOrthogonalMatrix:
-    """A 2N x 2N real matrix expected to lie in SO(2N)."""
-
-    entries: np.ndarray
-
-    @property
-    def dimension(self) -> int:
-        return self.entries.shape[0]
-
-    @property
-    def n_pairs(self) -> int:
-        return self.dimension // 2
-
-    def validate(self) -> None:
-        a = self.entries
-        if a.ndim != 2 or a.shape[0] != a.shape[1] or a.shape[0] % 2 != 0:
-            raise IntegrityError("matrix must be square with even dimension")
-        if np.max(np.abs(a @ a.T - np.eye(a.shape[0]))) > _ORTH_TOL:
-            raise IntegrityError("matrix is not orthogonal to tolerance")
-        if abs(np.linalg.det(a) - 1.0) > _DET_TOL:
-            raise IntegrityError("matrix determinant is not +1 to tolerance")
-
-
-@dataclass(frozen=True)
-class EigenphaseSpectrum:
-    """The N nonnegative phases of the conjugate eigenvalue pairs, sorted ascending."""
-
-    phases: np.ndarray
-
-    @property
-    def n_pairs(self) -> int:
-        return len(self.phases)
-
-    def __post_init__(self):
-        p = self.phases
-        if np.any(p < 0) or np.any(p > np.pi) or np.any(np.diff(p) < 0):
-            raise IntegrityError("phases must be sorted and lie in [0, pi]")
 
 
 def sample_so2n_batch(n_pairs: int, count: int, rng: np.random.Generator) -> np.ndarray:
@@ -86,12 +38,6 @@ def sample_so2n_batch(n_pairs: int, count: int, rng: np.random.Generator) -> np.
     dets = np.linalg.det(q)
     q[dets < 0, :, -1] *= -1.0
     return q
-
-
-def sample_so2n(n_pairs: int, seed) -> SpecialOrthogonalMatrix:
-    """One Haar-distributed SO(2N) matrix, deterministic for a fixed seed."""
-    rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
-    return SpecialOrthogonalMatrix(sample_so2n_batch(n_pairs, 1, rng)[0])
 
 
 def eigenphases_batch(matrices: np.ndarray) -> np.ndarray:
@@ -109,20 +55,6 @@ def eigenphases_batch(matrices: np.ndarray) -> np.ndarray:
     return phases
 
 
-def eigenphases(matrix: SpecialOrthogonalMatrix) -> EigenphaseSpectrum:
-    """Eigenphase spectrum of a single matrix; checks the SO(2N) invariants first."""
-    matrix.validate()
-    eigvals = np.linalg.eigvals(matrix.entries)
-    angles = np.sort(np.abs(np.angle(eigvals)))
-    # conjugate pairs give each phase twice
-    if np.max(np.abs(angles[::2] - angles[1::2])) > 1e-8:
-        raise IntegrityError("eigenvalues do not pair into conjugate phases")
-    phases = angles[::2].copy()
-    phases[phases < _PHASE_CLAMP] = 0.0
-    phases[phases > np.pi - _PHASE_CLAMP] = np.pi
-    return EigenphaseSpectrum(phases)
-
-
 def log_char_poly_batch(phases: np.ndarray) -> np.ndarray:
     """log Lambda_A(1, N) = 2N log 2 + 2 sum_j log sin(theta_j / 2), rows = spectra.
 
@@ -131,12 +63,6 @@ def log_char_poly_batch(phases: np.ndarray) -> np.ndarray:
     n = phases.shape[-1]
     with np.errstate(divide="ignore"):
         return 2 * n * np.log(2.0) + 2 * np.sum(np.log(np.sin(phases / 2)), axis=-1)
-
-
-def log_char_poly_at_1(spectrum) -> float:
-    """log of det(I - A) = 2^N prod (1 - cos theta_j) for one spectrum; -inf at theta = 0."""
-    phases = spectrum.phases if isinstance(spectrum, EigenphaseSpectrum) else np.asarray(spectrum, float)
-    return float(log_char_poly_batch(phases[None, :])[0])
 
 
 def max_log_char_poly(n_pairs: int) -> float:

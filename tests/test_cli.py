@@ -120,6 +120,11 @@ class TestCutoffCommand:
         run(["cutoff", "--config", E11_CFG, "--out", out])
         assert json.loads(out.read_text())["X_bound"] == 400000
 
+    def test_matrix_size_below_one_is_domain_error(self, tmp_path):
+        out = tmp_path / "cut.json"
+        assert run(["cutoff", "--config", E11_CFG, "--x", 1, "--out", out]) == 1
+        assert not out.exists()
+
 
 class TestApCountCommand:
     def test_csv_and_euler(self, tmp_path):
@@ -134,6 +139,19 @@ class TestApCountCommand:
         assert first[0] == "2" and first[1] == "-2"
         meta = json.loads(summary.read_text())
         assert 0.5 < meta["a_s_value"] < 1.0
+
+    def test_summary_is_strict_json_below_p_max_100(self, tmp_path):
+        summary = tmp_path / "ap.json"
+        code = run(["ap-count", "--config", E11_CFG, "--p-max", 50, "--euler-s", -0.5,
+                    "--out", tmp_path / "ap.csv", "--summary", summary])
+        assert code == 0
+
+        def reject(token):
+            raise ValueError(f"non-standard JSON constant {token}")
+
+        meta = json.loads(summary.read_text(), parse_constant=reject)
+        assert meta["a_s_last_decade_increment"] is None
+        assert np.isfinite(meta["a_s_value"])
 
 
 class TestCompareCommand:

@@ -102,6 +102,13 @@ class TestCutoffReport:
         assert d["X_bound"] == 400_000
         assert set(d) >= {"N_std", "N_eff", "c_std", "c_eff", "abs_cutoff_std", "abs_cutoff_eff"}
 
+    def test_matrix_size_below_one_rejected(self, e11):
+        # X = 1 gives N_std = -0.64 and X = 3 gives 0.46: no matrix of that size
+        for x_bound in (1, 3):
+            with pytest.raises(DomainError):
+                cutoff_report(e11, x_bound)
+        assert cutoff_report(e11, 4).n_std_matrix == 1
+
 
 class TestPointCounting:
     def test_known_coefficients(self):
@@ -160,6 +167,12 @@ class TestEulerProduct:
         result = a_s_truncated(E11_WEIERSTRASS, 11, +1, -0.5, 1000)
         assert 10 in result.decade_values and 100 in result.decade_values
         assert np.isfinite(result.last_decade_increment)
+
+    def test_no_decade_increment_below_p_max_100(self):
+        # only the decade 10 lies below p_max = 50, so there is nothing to compare with
+        result = a_s_truncated(E11_WEIERSTRASS, 11, +1, -0.5, 50)
+        assert result.last_decade_increment is None
+        assert np.isfinite(result.value)
 
     def test_conductor_factor_always_applied(self):
         # p_max below the conductor: the M-factor must still be present.
