@@ -63,12 +63,11 @@ def _run_summary(args, **extra) -> dict:
     return base
 
 
-def _add_sampling_flags(parser, with_cutoff=True):
+def _add_sampling_flags(parser):
     parser.add_argument("--n", type=int, required=True, help="matrix half-size N (matrices are 2N x 2N)")
     parser.add_argument("--count", type=int, required=True, help="number of accepted spectra")
-    if with_cutoff:
-        parser.add_argument("--cutoff", type=float, help="linear cutoff: keep log Lambda >= log(cutoff)")
-        parser.add_argument("--cutoff-log", type=float, help="log-scale cutoff X (wins over --cutoff)")
+    parser.add_argument("--cutoff", type=float, help="linear cutoff: keep log Lambda >= log(cutoff)")
+    parser.add_argument("--cutoff-log", type=float, help="log-scale cutoff X (wins over --cutoff)")
     parser.add_argument("--seed", type=int, default=0, help="RNG seed")
     parser.add_argument("--workers", type=int, default=1, help="parallel sampling workers")
     parser.add_argument("--bins", type=int, default=100, help="number of histogram bins")
@@ -76,12 +75,10 @@ def _add_sampling_flags(parser, with_cutoff=True):
 
 
 def _sampling_spec(args) -> ensemble.ExcisionSpec:
-    if getattr(args, "cutoff_log", None) is None and getattr(args, "cutoff", None) is None:
-        log_cutoff = -np.inf  # no excision: plain Haar ensemble
+    if args.cutoff_log is None and args.cutoff is None:
+        log_cutoff = -1e9  # no excision: every spectrum without a phase at exactly 0 is accepted
     else:
         log_cutoff = _resolve_log_cutoff(args)
-    if np.isneginf(log_cutoff):
-        log_cutoff = -1e9  # accepted by every non-degenerate spectrum
     return ensemble.ExcisionSpec(n_pairs=args.n, log_cutoff=log_cutoff)
 
 
@@ -128,7 +125,7 @@ def _cmd_density(args) -> int:
         normalization_ratio=ratio.value,
         ratio_tail_estimate=ratio.tail_estimate,
         ratio_warning=ratio.warning,
-        normalization_series=ratio.series.to_json_dict(),
+        normalization_series=ratio.to_json_dict(),
         line_route_points=int(np.count_nonzero(grid.line_route)),
         max_tail=float(grid.tails.max(initial=0.0)),
     )
@@ -186,7 +183,7 @@ def _load_histogram(path, kind: str, bins: int) -> ensemble.Histogram:
     values = np.loadtxt(path, ndmin=1)
     edges = np.linspace(float(values.min()), float(values.max()), bins + 1)
     counts, _ = np.histogram(values, bins=edges)
-    return ensemble.Histogram(edges, counts, mode="pdf")
+    return ensemble.Histogram(edges, counts)
 
 
 def _cmd_compare(args) -> int:

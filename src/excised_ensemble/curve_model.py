@@ -350,7 +350,8 @@ def read_curve_config(path):
 
     Lines are `key = value`; blank lines and #-comments are ignored.  Keys:
     conductor, c1..c6, kappa_E, a_minus_half, r1, r2 (optional), delta,
-    omega, X_bound.
+    omega, X_bound.  A malformed line, a missing key or a value that does not
+    parse raises DomainError.
     """
     raw = {}
     with open(path) as fh:
@@ -365,15 +366,23 @@ def read_curve_config(path):
     missing = [k for k in E11_CONFIG_KEYS if k not in raw and k not in ("r2",)]
     if missing:
         raise DomainError(f"config is missing keys: {', '.join(missing)}")
+
+    def number(key, kind=float):
+        try:
+            return kind(raw[key])
+        except ValueError:
+            what = "an integer" if kind is int else "a number"
+            raise DomainError(f"config key {key}: {raw[key]!r} is not {what}") from None
+
     params = CurveFamilyParams(
-        conductor_M=int(raw["conductor"]),
-        weierstrass=tuple(int(raw[k]) for k in ("c1", "c2", "c3", "c4", "c6")),
-        kappa_E=float(raw["kappa_E"]),
-        a_minus_half=float(raw["a_minus_half"]),
-        r1=float(raw["r1"]),
-        delta=float(raw["delta"]),
-        sign_omega=int(raw["omega"]),
-        r2=float(raw["r2"]) if "r2" in raw else None,
+        conductor_M=number("conductor", int),
+        weierstrass=tuple(number(k, int) for k in ("c1", "c2", "c3", "c4", "c6")),
+        kappa_E=number("kappa_E"),
+        a_minus_half=number("a_minus_half"),
+        r1=number("r1"),
+        delta=number("delta"),
+        sign_omega=number("omega", int),
+        r2=number("r2") if "r2" in raw else None,
     )
-    return params, float(raw["X_bound"])
+    return params, number("X_bound")
 

@@ -7,7 +7,7 @@ from __future__ import annotations
 
 import csv
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -18,6 +18,7 @@ __all__ = [
     "ExcisionSpec",
     "SampleSummary",
     "Histogram",
+    "default_bin_edges",
     "sample_excised",
     "first_eigenvalue_distribution",
     "empirical_one_level_density",
@@ -28,6 +29,8 @@ __all__ = [
 ]
 
 _ACCEPTANCE_PROBE = 100_000
+_BATCH_SIZE = 50_000
+_MIN_ACCEPTANCE = 1e-6
 
 
 @dataclass(frozen=True)
@@ -54,19 +57,15 @@ class SampleSummary:
 
 @dataclass(frozen=True)
 class Histogram:
-    """Binned statistic with a fixed normalization mode.
+    """Binned statistic rendered as a probability density.
 
-    `counts` are raw per-bin counts; `values()` renders them in the requested
-    mode.  In pdf mode the rendered density integrates to `total_mass`
+    `counts` are per-bin counts (or any nonnegative per-bin masses);
+    `values()` renders them as a density that integrates to `total_mass`
     (1 for probability densities, N for one-level densities).
-    `scale_factor` records the horizontal rescaling applied to the samples
-    before binning.
     """
 
     bin_edges: np.ndarray
     counts: np.ndarray
-    mode: str = "counts"
-    scale_factor: float = 1.0
     total_mass: float = 1.0
 
     def __post_init__(self):
@@ -74,8 +73,6 @@ class Histogram:
             raise DomainError("need len(counts) == len(bin_edges) - 1")
         if np.any(np.diff(self.bin_edges) <= 0):
             raise DomainError("bin edges must be strictly ascending")
-        if self.mode not in ("counts", "pdf", "cdf"):
-            raise DomainError(f"unknown histogram mode {self.mode!r}")
         if np.any(self.counts < 0):
             raise DomainError("counts must be nonnegative")
 
@@ -85,22 +82,9 @@ class Histogram:
 
     def values(self) -> np.ndarray:
         total = self.counts.sum()
-        if self.mode == "counts":
-            return self.counts.astype(float)
         if total == 0:
             raise DomainError("empty histogram has no normalized values")
-        if self.mode == "pdf":
-            return self.total_mass * self.counts / (total * self.widths)
-        return np.cumsum(self.counts) / total
-
-    def with_mode(self, mode: str) -> "Histogram":
-        return replace(self, mode=mode)
-
-    def merge(self, other: "Histogram") -> "Histogram":
-        """Commutative merge of partial counts (same binning required)."""
-        if not np.array_equal(self.bin_edges, other.bin_edges) or self.mode != other.mode:
-            raise DomainError("histograms must share binning and mode to merge")
-        return replace(self, counts=self.counts + other.counts)
+        return self.total_mass * self.counts / (total * self.widths)
 
     def cdf_at(self, x) -> np.ndarray:
         """Empirical CDF, piecewise linear between bin edges."""
@@ -118,9 +102,9 @@ class Histogram:
         return float(self.bin_edges[nonzero[0]]), float(self.bin_edges[nonzero[-1] + 1])
 
 
-def default_bin_edges(n_bins: int = 100, upper: float = np.pi, scale: float = 1.0) -> np.ndarray:
-    """Default binning: `n_bins` equal bins over [0, upper * scale]."""
-    return np.linspace(0.0, upper * scale, n_bins + 1)
+def default_bin_edges(n_bins: int = 100, scale: float = 1.0) -> np.ndarray:
+    """Default binning: `n_bins` equal bins over [0, pi * scale]."""
+    return np.linspace(0.0, np.pi * scale, n_bins + 1)
 
 
 def _as_phase_matrix(stream) -> np.ndarray:
@@ -132,14 +116,14 @@ def _as_phase_matrix(stream) -> np.ndarray:
     return phases
 
 
-def _sample_excised_single(spec: ExcisionSpec, count: int, rng, batch_size: int, min_acceptance: float):
+def _sample_excised_single(spec: ExcisionSpec, count: int, rng):
     accepted = []
     n_accepted = 0
     total = 0
     rate_guess = 1.0
     while n_accepted < count:
         need = count - n_accepted
-        batch = int(min(batch_size, max(np.ceil(1.1 * need / rate_guess), 256)))
+        batch = int(min(_BATCH_SIZE, max(np.ceil(1.1 * need / rate_guess), 256)))
         mats = sample_so2n_batch(spec.n_pairs, batch, rng)
         phases = eigenphases_batch(mats)
         keep = log_char_poly_batch(phases) >= spec.log_cutoff
@@ -156,30 +140,25 @@ def _sample_excised_single(spec: ExcisionSpec, count: int, rng, batch_size: int,
         if len(hits):
             accepted.append(phases[hits])
             n_accepted += len(hits)
-        rate_guess = max(n_accepted / total, min_acceptance, 1e-9)
-        if total >= _ACCEPTANCE_PROBE and n_accepted / total < min_acceptance:
+        rate_guess = max(n_accepted / total, _MIN_ACCEPTANCE, 1e-9)
+        if total >= _ACCEPTANCE_PROBE and n_accepted / total < _MIN_ACCEPTANCE:
             raise DomainError(
-                f"projected acceptance rate {n_accepted / total:.2e} below floor {min_acceptance:.0e} "
+                f"projected acceptance rate {n_accepted / total:.2e} below floor {_MIN_ACCEPTANCE:.0e} "
                 f"after {total} draws (N={spec.n_pairs}, log_cutoff={spec.log_cutoff:g})"
             )
     spectra = np.concatenate(accepted, axis=0)
     return spectra, total
 
 
-def sample_excised(
-    spec: ExcisionSpec,
-    count: int,
-    seed,
-    batch_size: int = 50_000,
-    min_acceptance: float = 1e-6,
-    workers: int = 1,
-):
+def sample_excised(spec: ExcisionSpec, count: int, seed, workers: int = 1):
     """Exactly `count` accepted eigenphase spectra of the excised ensemble.
 
-    Rejection sampling: Haar SO(2N) matrices are drawn and those with
-    log Lambda_A(1, N) < X discarded.  With `workers` > 1 the draw is split
-    across independently seeded substreams (spawned from `seed`), so results
-    are deterministic for fixed (seed, workers) and independent of scheduling.
+    Rejection sampling: Haar SO(2N) matrices are drawn in batches of at most
+    50 000 and those with log Lambda_A(1, N) < X discarded; a DomainError is
+    raised when the acceptance rate falls below 1e-6.  With `workers` > 1 the
+    draw is split across independently seeded substreams (spawned from
+    `seed`), so results are deterministic for fixed (seed, workers) and
+    independent of scheduling.
 
     Returns (spectra, summary): spectra has shape (count, N), rows sorted.
     """
@@ -191,7 +170,7 @@ def sample_excised(
     rngs = [np.random.default_rng(s) for s in seq.spawn(workers)]
     with ThreadPoolExecutor(max_workers=workers) as pool:
         futures = [
-            pool.submit(_sample_excised_single, spec, share, rng, batch_size, min_acceptance)
+            pool.submit(_sample_excised_single, spec, share, rng)
             for share, rng in zip(shares, rngs)
             if share > 0
         ]
@@ -213,41 +192,32 @@ def first_eigenvalue_distribution(stream, bin_edges, scale: float = 1.0) -> Hist
     phases = _as_phase_matrix(stream)
     firsts = phases.min(axis=1) * scale
     counts, _ = np.histogram(firsts, bins=bin_edges)
-    return Histogram(np.asarray(bin_edges, float), counts, mode="pdf", scale_factor=scale, total_mass=1.0)
+    return Histogram(np.asarray(bin_edges, float), counts)
 
 
 def empirical_one_level_density(stream, bin_edges) -> Histogram:
     """Histogram over all phases of all spectra, normalized so that the
-    pdf-mode density integrates to N (one-level density convention)."""
+    density integrates to N (one-level density convention)."""
     phases = _as_phase_matrix(stream)
     counts, _ = np.histogram(phases.ravel(), bins=bin_edges)
-    return Histogram(
-        np.asarray(bin_edges, float),
-        counts,
-        mode="pdf",
-        scale_factor=1.0,
-        total_mass=float(phases.shape[1]),
-    )
+    return Histogram(np.asarray(bin_edges, float), counts, total_mass=float(phases.shape[1]))
 
 
-def cdf_distance(a: Histogram, b: Histogram, grid=None, n_grid: int = 64) -> float:
-    """Mean of |CDF_a - CDF_b| over a grid of evenly spaced points.
-
-    The default grid spans the support of `b` (the reference data) with
-    `n_grid` points.  Raises DomainError when the supports are disjoint.
+def cdf_distance(a: Histogram, b: Histogram, n_grid: int = 64) -> float:
+    """Mean of |CDF_a - CDF_b| over `n_grid` evenly spaced points spanning
+    the support of `b` (the reference data).  Raises DomainError when the
+    supports are disjoint.
     """
     lo_a, hi_a = a.support
     lo_b, hi_b = b.support
     if hi_a <= lo_b or hi_b <= lo_a:
         raise DomainError("histogram supports are disjoint")
-    if grid is None:
-        grid = np.linspace(lo_b, hi_b, n_grid)
-    grid = np.asarray(grid, dtype=float)
+    grid = np.linspace(lo_b, hi_b, n_grid)
     return float(np.mean(np.abs(a.cdf_at(grid) - b.cdf_at(grid))))
 
 
 def write_histogram_csv(hist: Histogram, path) -> None:
-    """CSV rows bin_left,bin_right,value in the histogram's mode."""
+    """CSV rows bin_left,bin_right,value with the histogram's density values."""
     values = hist.values()
     with open(path, "w", newline="\n") as fh:
         writer = csv.writer(fh, lineterminator="\n")
@@ -256,12 +226,11 @@ def write_histogram_csv(hist: Histogram, path) -> None:
             writer.writerow([repr(float(left)), repr(float(right)), repr(float(val))])
 
 
-def read_histogram_csv(path, mode: str = "pdf") -> Histogram:
-    """Rebuild a histogram from a bin_left,bin_right,value CSV.
+def read_histogram_csv(path) -> Histogram:
+    """Rebuild a histogram from a bin_left,bin_right,value CSV of densities.
 
-    Values are interpreted as densities when mode='pdf' and as raw counts
-    when mode='counts'; either way they are stored as (scaled) counts, which
-    is all the CDF machinery needs.
+    Each density times its bin width is stored as the bin's mass, which is
+    all the CDF machinery needs.
     """
     lefts, rights, vals = [], [], []
     with open(path, newline="") as fh:
@@ -274,8 +243,7 @@ def read_histogram_csv(path, mode: str = "pdf") -> Histogram:
         raise DomainError(f"no histogram rows in {path}")
     edges = np.asarray(lefts + [rights[-1]], dtype=float)
     vals = np.asarray(vals, dtype=float)
-    counts = vals * np.diff(edges) if mode == "pdf" else vals
-    return Histogram(edges, counts, mode="pdf")
+    return Histogram(edges, vals * np.diff(edges))
 
 
 def summary_json_dict(summary: SampleSummary, spec: ExcisionSpec, seed) -> dict:

@@ -30,8 +30,6 @@ __all__ = [
     "jacobi_p_recurrence",
     "jacobi_p_deriv",
     "jacobi_norms",
-    "jacobi_weight",
-    "jacobi_weight_angular",
 ]
 
 ZETA_PRIME_AT_MINUS_ONE = -0.16542114370045092921
@@ -44,6 +42,9 @@ _BARNES_COEFFS = (
     1.0 / 1056.0,   # B10 / (8*10)
 )
 _BARNES_SHIFT = 32.0
+# distance from a nonpositive integer at which the series parameter c = alpha + 1
+# hands Jacobi evaluation over to the recurrence
+_NEAR_POLE_RADIUS = 0.25
 
 
 def log_gamma(z):
@@ -162,26 +163,10 @@ def jacobi_norms(order: JacobiOrder) -> NormalizationData:
     return NormalizationData(h_n=complex(h), ell_n=complex(ell))
 
 
-def jacobi_weight(alpha, beta, x):
-    """Weight (1-x)^alpha (1+x)^beta on [-1, 1] (the convention the kernel formulas use)."""
-    return (1 - x) ** alpha * (1 + x) ** beta
-
-
-def jacobi_weight_angular(alpha, beta, theta):
-    """Angular weight (1-cos t)^(alpha+1/2) (1+cos t)^(beta+1/2) on [0, pi].
-
-    This is the same orthogonality measure as `jacobi_weight` after the
-    substitution x = cos(theta); the extra +1/2 in each exponent absorbs the
-    Jacobian sin(theta).
-    """
-    ct = np.cos(theta)
-    return (1 - ct) ** (alpha + 0.5) * (1 + ct) ** (beta + 0.5)
-
-
-def _near_nonpositive_integer(c, radius: float = 0.25) -> bool:
+def _near_nonpositive_integer(c) -> bool:
     c = np.asarray(c, dtype=complex)
     nearest = np.round(c.real)
-    return bool(np.any((nearest <= 0) & (np.abs(c - nearest) < radius)))
+    return bool(np.any((nearest <= 0) & (np.abs(c - nearest) < _NEAR_POLE_RADIUS)))
 
 
 def jacobi_p_recurrence(order: JacobiOrder, x):

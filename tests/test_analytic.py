@@ -196,25 +196,34 @@ class TestNormalizationRatio:
     def test_term_decay(self):
         # successive half-integer terms shrink at least by e^X times a slowly
         # varying factor once X <= -1
-        series = normalization_ratio(2, -1.5, 10).series
-        terms = series.term_values()[1:]  # skip the r = 0 term
+        terms = normalization_ratio(2, -1.5, 10).term_values()[1:]  # skip the r = 0 term
         for k in range(len(terms) - 1):
             assert abs(terms[k + 1]) <= abs(terms[k]) * np.exp(-1.5) * (k + 2)
 
     def test_imaginary_residual_small(self):
-        series = normalization_ratio(2, X_TENTH, 10).series
-        total = np.sum(series.term_values())
+        total = np.sum(normalization_ratio(2, X_TENTH, 10).term_values())
         assert abs(total.imag) <= 1e-9 * abs(total.real)
 
     def test_json_dump_fields(self):
-        series = normalization_ratio(2, X_TENTH, 5).series
-        d = series.to_json_dict()
+        d = normalization_ratio(2, X_TENTH, 5).to_json_dict()
         assert set(d) == {"poles", "coefficients_re", "coefficients_im", "K", "warning"}
         assert len(d["poles"]) == len(d["coefficients_re"]) == 7
 
     def test_empty_ensemble(self):
         with pytest.raises(DomainError):
             normalization_ratio(1, 10.0)
+
+    @pytest.mark.parametrize(
+        "n, log_cutoff",
+        [
+            (6, 12 * np.log(2.0) - 0.5),  # series sums to about -18.65
+            (16, X_TENTH),  # about 1.21
+            (24, np.log(0.005424)),  # about 2069; Beta-product Monte Carlo gives 0.887
+        ],
+    )
+    def test_value_outside_unit_interval_raises(self, n, log_cutoff):
+        with pytest.raises(DomainError, match=r"outside \(0, 1\]"):
+            normalization_ratio(n, log_cutoff)
 
 
 class TestKernel:

@@ -34,6 +34,15 @@ class TestDensityCommand:
         assert isinstance(meta["line_route_points"], int) and meta["line_route_points"] >= 1
         assert 0 <= meta["max_tail"] <= 1e-9
 
+    def test_ratio_outside_unit_interval_is_domain_error(self, tmp_path, capsys):
+        # the residue series gives 1.21 here; nothing may be scaled by it
+        out = tmp_path / "density.csv"
+        code = run(["density", "--n", 16, "--cutoff", 0.1, "--grid", 20,
+                    "--out", out, "--summary", tmp_path / "s.json"])
+        assert code == 1
+        assert not out.exists()
+        assert capsys.readouterr().err.startswith("error:")
+
     def test_byte_identical_reruns(self, tmp_path):
         paths = [(tmp_path / f"d{i}.csv", tmp_path / f"s{i}.json") for i in (1, 2)]
         for out, summ in paths:
@@ -200,6 +209,15 @@ class TestErrorPaths:
         code = run(["sample", "--n", 1, "--count", 10, "--cutoff-log", 5.0,
                     "--out", tmp_path / "h.csv", "--summary", tmp_path / "s.json"])
         assert code == 1
+
+    @pytest.mark.parametrize("subcommand", [["cutoff"], ["ap-count", "--p-max", 50]])
+    def test_non_numeric_config_value(self, tmp_path, capsys, subcommand):
+        cfg = tmp_path / "bad.cfg"
+        text = resources.files("excised_ensemble.data").joinpath("e11.cfg").read_text()
+        cfg.write_text(text.replace("kappa_E = 6.346046521", "kappa_E = 6.3x"))
+        code = run([*subcommand, "--config", cfg, "--out", tmp_path / "o"])
+        assert code == 1
+        assert "error:" in capsys.readouterr().err
 
     def test_unreadable_config(self, tmp_path):
         code = run(["cutoff", "--config", tmp_path / "missing.cfg", "--out", tmp_path / "c.json"])

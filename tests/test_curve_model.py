@@ -257,3 +257,12 @@ class TestParamsAndConfig:
         cfg.write_text(text)
         params, _ = read_curve_config(cfg)
         assert params.kappa_E == pytest.approx(6.346046521)
+
+    @pytest.mark.parametrize("key, bad", [("kappa_E", "6.3x"), ("conductor", "11.0"), ("X_bound", "")])
+    def test_non_numeric_value_names_the_key(self, tmp_path, key, bad):
+        path = resources.files("excised_ensemble.data") / "e11.cfg"
+        lines = [f"{key} = {bad}" if ln.split("=")[0].strip() == key else ln for ln in path.read_text().splitlines()]
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text("\n".join(lines) + "\n")
+        with pytest.raises(DomainError, match=key):
+            read_curve_config(cfg)

@@ -107,21 +107,10 @@ class TestHistogram:
             Histogram(np.array([0.0, 1.0]), np.array([1, 2]))
         with pytest.raises(DomainError):
             Histogram(np.array([0.0, 1.0, 0.5]), np.array([1, 2]))
-        with pytest.raises(DomainError):
-            Histogram(np.array([0.0, 0.5, 1.0]), np.array([1, 2]), mode="nope")
 
     def test_pdf_integral_is_total_mass(self):
-        h = Histogram(np.linspace(0, 1, 11), np.arange(10), mode="pdf", total_mass=3.0)
+        h = Histogram(np.linspace(0, 1, 11), np.arange(10), total_mass=3.0)
         assert np.sum(h.values() * h.widths) == pytest.approx(3.0, abs=1e-12)
-
-    def test_merge_is_commutative_monoid(self):
-        edges = np.linspace(0, 1, 6)
-        a = Histogram(edges, np.array([1, 0, 2, 0, 1]))
-        b = Histogram(edges, np.array([0, 3, 1, 1, 0]))
-        ab, ba = a.merge(b), b.merge(a)
-        assert np.array_equal(ab.counts, ba.counts)
-        with pytest.raises(DomainError):
-            a.merge(Histogram(np.linspace(0, 2, 6), np.zeros(5, int)))
 
     def test_cdf_interpolation(self):
         h = Histogram(np.array([0.0, 1.0, 2.0]), np.array([1, 3]))
@@ -151,7 +140,6 @@ class TestFirstEigenvalue:
         centers = (edges[:-1] + edges[1:]) / 2
         hist_mean = np.sum(hist.values() * hist.widths * centers)
         assert hist_mean == pytest.approx(scale * firsts.mean(), rel=5e-3)
-        assert hist.scale_factor == scale
 
     def test_pdf_normalization(self):
         spectra, _ = sample_excised(ExcisionSpec(2, NO_CUT), 2000, seed=4)
@@ -203,7 +191,7 @@ class TestCdfDistance:
         assert cdf_distance(a, b) == pytest.approx(0.5, abs=0.02)
         # just right of a's support the CDFs are separated by essentially 1
         grid = np.linspace(1.0, 1.02, 64)
-        assert cdf_distance(a, b, grid=grid) > 0.97
+        assert np.mean(np.abs(a.cdf_at(grid) - b.cdf_at(grid))) > 0.97
 
     def test_disjoint_supports_rejected(self):
         a = self._uniform_hist(0.0, 1.0)

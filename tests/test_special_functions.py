@@ -16,8 +16,6 @@ from excised_ensemble.special_functions import (
     jacobi_p,
     jacobi_p_deriv,
     jacobi_p_recurrence,
-    jacobi_weight,
-    jacobi_weight_angular,
     log_barnes_g,
     log_gamma,
 )
@@ -231,14 +229,3 @@ class TestOrthogonality:
     def test_leading_coefficient(self):
         # ell_2^(0,0) for Legendre P_2 = (3x^2-1)/2 is 3/2
         assert jacobi_norms(JacobiOrder(2, 0.0, 0.0)).ell_n == pytest.approx(1.5)
-
-
-class TestWeightConventions:
-    def test_angular_weight_absorbs_jacobian(self):
-        # int f(cos t) w_ang dt = int f(x) w_x dx: the integrands match via
-        # w_ang(theta) = w_x(cos theta) * sin(theta)
-        a, b = 0.8, -0.4
-        for theta in (0.3, 1.2, 2.9):
-            lhs = jacobi_weight_angular(a, b, theta)
-            rhs = jacobi_weight(a, b, np.cos(theta)) * np.sin(theta)
-            assert lhs == pytest.approx(rhs, rel=1e-12)
