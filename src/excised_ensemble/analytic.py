@@ -57,6 +57,7 @@ _LOG2 = np.log(2.0)
 _CONTOUR_RADIUS = 0.1
 _CONTOUR_NODES = 128
 _RATIO_TOL = 1e-10
+_EPS = np.finfo(float).eps
 _IBP_LEVELS = 6
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(12)
 
@@ -115,6 +116,17 @@ def _is_real(z) -> bool:
     return np.imag(z) == 0
 
 
+def _log_gamma_run(z, count: int):
+    """sum_{j<count} log Gamma(z+j) = count log Gamma(z) + sum_j (count-1-j) log(z+j):
+    one log-Gamma evaluation plus count-1 logarithms.  Equal to the term-by-term
+    sum modulo 2 pi i, which its exponential does not see."""
+    z = np.asarray(z, dtype=complex)
+    total = count * log_gamma(z)
+    for j in range(count - 1):
+        total = total + (count - 1 - j) * np.log(z + j)
+    return total
+
+
 def selberg_integral(n_pairs: int, r, s):
     """Selberg's angular integral of prod (1-cos)^r (1+cos)^s times the squared
     Vandermonde in cosines over [0, pi]^N.
@@ -123,14 +135,13 @@ def selberg_integral(n_pairs: int, r, s):
     """
     if np.real(r) <= -0.5 or np.real(s) <= -0.5:
         raise DomainError("selberg_integral requires Re(r), Re(s) > -1/2")
-    total = n_pairs * (n_pairs + r + s - 1) * _LOG2
-    for j in range(n_pairs):
-        total = total + (
-            log_gamma(2.0 + j)
-            + log_gamma(s + 0.5 + j)
-            + log_gamma(r + 0.5 + j)
-            - log_gamma(s + r + n_pairs + j)
-        )
+    total = (
+        n_pairs * (n_pairs + r + s - 1) * _LOG2
+        + _log_gamma_run(2.0, n_pairs)
+        + _log_gamma_run(s + 0.5, n_pairs)
+        + _log_gamma_run(r + 0.5, n_pairs)
+        - _log_gamma_run(s + r + n_pairs, n_pairs)
+    )
     value = np.exp(total)
     if _is_real(r) and _is_real(s):
         return float(np.real(value))
@@ -138,8 +149,15 @@ def selberg_integral(n_pairs: int, r, s):
 
 
 def c_so2n(n_pairs: int) -> float:
-    """Weyl normalization constant of the SO(2N) eigenphase measure, 1 / selberg_integral(N, 0, 0)."""
-    return 1.0 / selberg_integral(n_pairs, 0, 0)
+    """Weyl normalization constant of the SO(2N) eigenphase measure, 1 / selberg_integral(N, 0, 0).
+
+    Raises DomainError where it overflows a float (N >= 36).
+    """
+    with np.errstate(divide="ignore", over="ignore"):
+        value = 1.0 / np.float64(selberg_integral(n_pairs, 0, 0))
+    if not np.isfinite(value):
+        raise DomainError(f"c_so2n({n_pairs}) overflows a float")
+    return float(value)
 
 
 def moments_so2n(n_pairs: int, s, analytic_continuation: bool = False):
@@ -152,14 +170,13 @@ def moments_so2n(n_pairs: int, s, analytic_continuation: bool = False):
     """
     if not analytic_continuation and np.any(np.real(s) <= -0.5):
         raise DomainError("moments_so2n requires Re(s) > -1/2")
-    total = 2 * n_pairs * s * _LOG2
-    for j in range(1, n_pairs + 1):
-        total = total + (
-            log_gamma(float(n_pairs + j - 1))
-            + log_gamma(s + j - 0.5)
-            - log_gamma(j - 0.5)
-            - log_gamma(s + j + n_pairs - 1)
-        )
+    total = (
+        2 * n_pairs * s * _LOG2
+        + _log_gamma_run(float(n_pairs), n_pairs)
+        + _log_gamma_run(s + 0.5, n_pairs)
+        - _log_gamma_run(0.5, n_pairs)
+        - _log_gamma_run(s + n_pairs, n_pairs)
+    )
     value = np.exp(total)
     if np.ndim(value):
         return value
@@ -168,15 +185,13 @@ def moments_so2n(n_pairs: int, s, analytic_continuation: bool = False):
 
 def h_exact(n_pairs: int) -> float:
     """Residue of M_O(N, s) at s = -1/2 (explicit Gamma product)."""
-    total = -n_pairs * _LOG2 - np.real(log_gamma(float(n_pairs)))
-    for j in range(1, n_pairs + 1):
-        total += np.real(
-            log_gamma(float(n_pairs + j - 1))
-            + log_gamma(float(j))
-            - log_gamma(j - 0.5)
-            - log_gamma(j + n_pairs - 1.5)
-        )
-    return float(np.exp(total))
+    total = np.real(
+        _log_gamma_run(float(n_pairs), n_pairs)
+        + _log_gamma_run(1.0, n_pairs - 1)
+        - _log_gamma_run(0.5, n_pairs)
+        - _log_gamma_run(n_pairs - 0.5, n_pairs)
+    )
+    return float(np.exp(total - n_pairs * _LOG2))
 
 
 def h_asymptotic(n_pairs: int) -> float:
@@ -239,6 +254,12 @@ def _kernel_prefactor(n_pairs: int, r):
     return 2.0 ** (1 - r) / (2 * n_pairs + r - 1) * np.exp(lg)
 
 
+def _kernel_diag(n_pairs: int, r, x):
+    """f_N^(r-1/2,-1/2)(theta, theta) at x = cos theta (no domain check)."""
+    r = np.asarray(r, dtype=complex)
+    return (1 - x) ** r * _kernel_prefactor(n_pairs, r) * _wronskian(n_pairs, r, x)
+
+
 def cd_kernel_diag(n_pairs: int, r, theta):
     """Diagonal f_N^(r-1/2,-1/2)(theta, theta) of the Christoffel-Darboux kernel.
 
@@ -247,9 +268,7 @@ def cd_kernel_diag(n_pairs: int, r, theta):
     th = np.asarray(theta, dtype=float)
     if np.any(th <= 0) or np.any(th >= np.pi):
         raise DomainError("cd_kernel_diag requires theta in the open interval (0, pi)")
-    x = np.cos(th)
-    rc = np.asarray(r, complex)
-    out = (1 - x) ** rc * _kernel_prefactor(n_pairs, rc) * _wronskian(n_pairs, r, x)
+    out = _kernel_diag(n_pairs, r, np.cos(th))
     if np.ndim(out) == 0:
         return complex(out) if not _is_real(r) else float(np.real(out))
     return out
@@ -301,13 +320,7 @@ def excised_integrand(n_pairs: int, log_cutoff: float, theta, r):
     density (without the normalization constant C_X).
 
     It equals moments_so2n(N, r) f_N^(r-1/2,-1/2)(theta, theta) e^(-rX) /
-    (r C_SO(2N)).  The Gamma(N+r) factor of the kernel prefactor cancels the
-    j = 0 term of the denominator product exactly; the cancellation is
-    performed analytically here so the removable integer-pole pairs never
-    appear.  Composing `moments_so2n` with the kernel prefactor instead would
-    evaluate log Gamma(N+r) twice per node, which made `density_grid` at
-    N = 12 over 100 points 5-6% slower on a 2-vCPU host, so the Gamma sum
-    stays merged.
+    (r C_SO(2N)).
     """
     r = np.asarray(r, dtype=complex)
     if np.any(r == 0):
@@ -318,30 +331,23 @@ def excised_integrand(n_pairs: int, log_cutoff: float, theta, r):
     th = np.asarray(theta, dtype=float)
     if np.any(th <= 0) or np.any(th > np.pi):
         raise DomainError("excised_integrand requires theta in (0, pi]")
-    x = np.cos(th)
-    total = np.zeros(np.broadcast(r, x).shape, dtype=complex)
-    for j in range(n_pairs):
-        total = total + log_gamma(2.0 + j) + log_gamma(0.5 + j) + log_gamma(r + 0.5 + j)
-    for j in range(1, n_pairs):
-        total = total - log_gamma(r + n_pairs + j)
-    total = total + log_gamma(n_pairs + 1.0) - log_gamma(n_pairs + r - 0.5) - log_gamma(n_pairs - 0.5)
-    total = total - r * log_cutoff + (n_pairs * n_pairs + 2 * n_pairs * r - n_pairs) * _LOG2
-    total = total + r * np.log1p(-x) + (1 - r) * _LOG2
-    return np.exp(total) / (r * (2 * n_pairs + r - 1)) * _wronskian(n_pairs, r, x)
+    scale = moments_so2n(n_pairs, r, analytic_continuation=True) * np.exp(-r * log_cutoff) / (r * c_so2n(n_pairs))
+    return scale * _kernel_diag(n_pairs, r, np.cos(th))
 
 
 def _contour_residue(func, center: float):
-    """Residue via the trapezoid rule on a circle (spectrally accurate)."""
+    """Residue via the trapezoid rule on a circle (spectrally accurate), and
+    the mean magnitude of the summands, which sets its rounding error."""
     angles = 2.0 * np.pi * np.arange(_CONTOUR_NODES) / _CONTOUR_NODES
     z = center + _CONTOUR_RADIUS * np.exp(1j * angles)
     vals = func(z) * (z - center)
-    return np.mean(vals, axis=-1)
+    return np.mean(vals, axis=-1), np.mean(np.abs(vals), axis=-1)
 
 
 def _higher_pole_residues(func, truncation_K: int):
-    """The poles -3/2, ..., -(2K+1)/2, the contour residues of `func` there,
-    and the magnitude of its residue at the next pole -(2K+3)/2 (the tail
-    estimate).
+    """The poles -3/2, ..., -(2K+1)/2, the (residue, summand magnitude) pairs
+    of `func` there from `_contour_residue`, and the magnitude of its residue
+    at the next pole -(2K+3)/2 (the tail estimate).
 
     The residues come as a generator, so the caller folds each one in before
     the next is computed: holding all K of them across the density's
@@ -349,7 +355,7 @@ def _higher_pole_residues(func, truncation_K: int):
     density by 3.6 MiB in some runs (2-vCPU host, glibc malloc).
     """
     poles = [-(2 * k + 1) / 2.0 for k in range(1, truncation_K + 1)]
-    tail = np.abs(_contour_residue(func, -(2 * (truncation_K + 1) + 1) / 2.0))
+    tail = np.abs(_contour_residue(func, -(2 * (truncation_K + 1) + 1) / 2.0)[0])
     return poles, (_contour_residue(func, pole) for pole in poles), tail
 
 
@@ -363,9 +369,7 @@ def kernel_residue_at_minus_half(n_pairs: int, log_cutoff: float, theta):
     th = np.asarray(theta, dtype=float)
     if n_pairs == 1:
         return 0.0 if th.ndim == 0 else np.zeros_like(th)
-    x = np.cos(th)
-    r = np.asarray(-0.5 + 0.0j)
-    diag = (1 - x) ** (-0.5) * np.real(_kernel_prefactor(n_pairs, r) * _wronskian(n_pairs, r, x))
+    diag = np.real(_kernel_diag(n_pairs, -0.5, np.cos(th)))
     out = -2.0 * np.exp(0.5 * log_cutoff) * h_exact(n_pairs) / c_so2n(n_pairs) * diag
     return float(out) if out.ndim == 0 else out
 
@@ -414,7 +418,9 @@ def normalization_ratio(n_pairs: int, log_cutoff: float, truncation_K: int = 10)
     1 + (simple pole at -1/2, closed form) + sum of higher contour residues.
 
     Raises DomainError when the truncated series does not lie in (0, 1]: for
-    large N it is summed outside the range where it converges.
+    large N it is summed outside the range where it converges.  Also raises
+    when its terms cancel so far that rounding, eps times the summed term
+    magnitudes, exceeds 1e-10.
     """
     if log_cutoff >= 2 * n_pairs * _LOG2:
         raise DomainError("cutoff at or above the attainable maximum: ensemble is empty")
@@ -427,16 +433,25 @@ def normalization_ratio(n_pairs: int, log_cutoff: float, truncation_K: int = 10)
     poles, residues, tail = _higher_pole_residues(integrand, truncation_K)
     # half-integer coefficients are stored with the factor exp((k+1/2) X) stripped;
     # the residue at -1/2 is -2 e^(X/2) h(N)
-    coeffs = [1.0 + 0.0j, complex(-2.0 * h_exact(n_pairs))]
-    for pole, res in zip(poles, residues):
+    h = h_exact(n_pairs)
+    coeffs = [1.0 + 0.0j, complex(-2.0 * h)]
+    magnitude = 1.0 + 2.0 * h * np.exp(0.5 * log_cutoff)
+    for pole, (res, size) in zip(poles, residues):
         with np.errstate(over="ignore", under="ignore", invalid="ignore"):
             coeff = complex(res * np.exp(pole * log_cutoff))
         coeffs.append(coeff if np.isfinite(coeff) else 0.0 + 0.0j)
+        magnitude += size
     result = NormalizationResult(np.asarray([0.0, -0.5] + poles), np.asarray(coeffs), log_cutoff, float(tail))
     if not 0.0 < result.value <= 1.0:
         raise DomainError(
             f"normalization ratio {result.value:.6g} at N={n_pairs}, X={log_cutoff:g} lies outside (0, 1]: "
             "the residue series is summed outside the range where it converges"
+        )
+    floor = _EPS * magnitude
+    if floor > _RATIO_TOL:
+        raise DomainError(
+            f"normalization ratio {result.value:.6g} at N={n_pairs}, X={log_cutoff:g} is not certified: "
+            f"its residue terms cancel to a rounding floor of {floor:.2g}"
         )
     return result
 
@@ -524,14 +539,21 @@ def r1_excised_line_integral(n_pairs: int, log_cutoff: float, theta: float, c: f
 # ---------------------------------------------------------------------------
 
 def _residue_sum_grid(n_pairs: int, log_cutoff: float, thetas: np.ndarray, truncation_K: int):
-    """Residue-series sum (without C_X) and per-theta tail estimate on a grid."""
-    total = r1_so2n_unscaled(n_pairs, thetas) / c_so2n(n_pairs)
-    total = total + kernel_residue_at_minus_half(n_pairs, log_cutoff, thetas)
+    """Residue-series sum (without C_X) and per-theta tail estimate on a grid.
+
+    The tail includes the rounding floor, eps times the summed magnitudes of
+    the terms, so points where the terms cancel take the line route.
+    """
+    leading = r1_so2n_unscaled(n_pairs, thetas) / c_so2n(n_pairs)
+    minus_half = kernel_residue_at_minus_half(n_pairs, log_cutoff, thetas)
+    total = leading + minus_half
+    magnitude = np.abs(leading) + np.abs(minus_half)
     th_col = thetas[:, None]
     _, residues, tail = _higher_pole_residues(lambda z: excised_integrand(n_pairs, log_cutoff, th_col, z), truncation_K)
-    for res in residues:
+    for res, size in residues:
         total = total + np.real(res)
-    return total, tail
+        magnitude = magnitude + size
+    return total, tail + _EPS * magnitude
 
 
 @dataclass(frozen=True)

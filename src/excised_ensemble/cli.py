@@ -178,9 +178,15 @@ def _cmd_ap_count(args) -> int:
 
 
 def _load_histogram(path, kind: str, bins: int) -> ensemble.Histogram:
-    if kind == "hist":
-        return ensemble.read_histogram_csv(path)
-    values = np.loadtxt(path, ndmin=1)
+    """A parse failure is a domain error naming the file."""
+    try:
+        if kind == "hist":
+            return ensemble.read_histogram_csv(path)
+        values = np.loadtxt(path, ndmin=1)
+    except (KeyError, ValueError) as exc:
+        raise DomainError(f"{path} is not a {kind} file: {exc!r}") from exc
+    if values.size == 0:
+        raise DomainError(f"no samples in {path}")
     edges = np.linspace(float(values.min()), float(values.max()), bins + 1)
     counts, _ = np.histogram(values, bins=edges)
     return ensemble.Histogram(edges, counts)

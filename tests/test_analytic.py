@@ -110,6 +110,12 @@ class TestNormalizationConstant:
     def test_inverse_of_selberg(self, n):
         assert c_so2n(n) * selberg_integral(n, 0, 0) == pytest.approx(1.0, abs=1e-10)
 
+    @pytest.mark.parametrize("n", [36, 40])
+    def test_overflow_raises(self, n):
+        # 1/selberg_integral is inf at N = 36 and a division by 0.0 at N = 40
+        with pytest.raises(DomainError, match="overflows"):
+            c_so2n(n)
+
 
 class TestMoments:
     @pytest.mark.parametrize("n", [1, 2, 3, 5])
@@ -225,6 +231,20 @@ class TestNormalizationRatio:
         with pytest.raises(DomainError, match=r"outside \(0, 1\]"):
             normalization_ratio(n, log_cutoff)
 
+    @pytest.mark.parametrize(
+        "n, log_cutoff",
+        [
+            (13, 0.0),  # series gives 0.524; Beta-product Monte Carlo gives 0.299
+            (14, -1.0),  # 0.553 against 0.460
+            (12, 1.0),  # 0.21-0.24 depending on rounding, against 0.157
+            (15, -2.0),  # 0.618 against 0.608
+        ],
+    )
+    def test_cancelling_series_raises(self, n, log_cutoff):
+        # each value lies inside (0, 1] but its terms cancel below the rounding floor
+        with pytest.raises(DomainError, match="not certified"):
+            normalization_ratio(n, log_cutoff)
+
 
 class TestKernel:
     @pytest.mark.parametrize("n", [2, 3])
@@ -317,6 +337,23 @@ class TestExcisedDensity:
         dg = density_grid(2, X_TENTH, [ti + 0.01], tol=1e-20)
         assert dg.line_route[0] and dg.tails[0] > 1e-20
         assert dg.values[0] == density_grid(2, X_TENTH, [ti + 0.01]).values[0]
+
+    def test_cancelling_residue_terms_take_line_route(self):
+        # at N = 6, X = 0 the residue terms near theta = 0.105 cancel below the
+        # rounding floor; the residue sum gave 0.142 there, Haar Monte Carlo
+        # agrees with the line integral's 0.189
+        thetas = np.linspace(0, np.pi, 300)
+        dg = density_grid(6, 0.0, thetas)
+        assert dg.line_route[10]
+        assert dg.values[10] == pytest.approx(r1_excised_line_integral(6, 0.0, thetas[10], c=1.0), rel=1e-8)
+
+    @pytest.mark.xfail(strict=True, reason="jacobi_p_recurrence loses about 6 digits near x = 1 on the residue contours")
+    def test_residue_route_matches_line_integral_near_x_one(self):
+        # the residue route reports a tail of 6.6e-10 here yet is off by 6e-5
+        log_cutoff = np.log(0.005424)
+        thetas = np.linspace(0, np.pi, 100)
+        value = density_grid(12, log_cutoff, thetas).values[5]
+        assert value == pytest.approx(r1_excised_line_integral(12, log_cutoff, thetas[5]), rel=1e-6)
 
     def test_nonnegative_on_grid(self):
         grid = np.linspace(0, np.pi, 301)

@@ -112,6 +112,12 @@ class TestMomentsCommand:
         assert meta["moment"] == pytest.approx(2.0, rel=1e-12)
         assert meta["h_exact"] == pytest.approx(8 / (3 * np.pi**2), rel=1e-10)
 
+    def test_constant_overflow_is_domain_error(self, tmp_path, capsys):
+        out = tmp_path / "m.json"
+        assert run(["moments", "--n", 40, "--s", 0.5, "--out", out]) == 1
+        assert "error:" in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestCutoffCommand:
     def test_e11_values(self, tmp_path):
@@ -196,6 +202,37 @@ class TestCompareCommand:
         code = run(["compare", "--a", hist_path, "--b", samples, "--b-kind", "samples", "--out", out])
         assert code == 0
         assert 0 < json.loads(out.read_text())["cdf_distance"] < 1
+
+    def test_headed_spectra_as_samples_is_domain_error(self, tmp_path, capsys):
+        hist_path, spectra = tmp_path / "h.csv", tmp_path / "spectra.csv"
+        run(["sample", "--n", 2, "--count", 50, "--cutoff", 0.1, "--dump-spectra", spectra,
+             "--out", hist_path, "--summary", tmp_path / "s.json"])
+        out = tmp_path / "compare.json"
+        code = run(["compare", "--a", hist_path, "--b", spectra, "--b-kind", "samples", "--out", out])
+        assert code == 1
+        assert "error:" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_empty_samples_file_is_domain_error(self, tmp_path, capsys):
+        hist_path, samples = tmp_path / "h.csv", tmp_path / "empty.csv"
+        self._write_hist(hist_path, seed=5)
+        samples.write_text("")
+        out = tmp_path / "compare.json"
+        with pytest.warns(UserWarning):  # numpy: input contained no data
+            code = run(["compare", "--a", hist_path, "--b", samples, "--b-kind", "samples", "--out", out])
+        assert code == 1
+        assert "error:" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_summary_json_as_histogram_is_domain_error(self, tmp_path, capsys):
+        hist_path, summary = tmp_path / "h.csv", tmp_path / "s.json"
+        self._write_hist(hist_path, seed=5)
+        run(["moments", "--n", 2, "--s", 1.0, "--out", summary])
+        out = tmp_path / "compare.json"
+        code = run(["compare", "--a", hist_path, "--b", summary, "--out", out])
+        assert code == 1
+        assert "error:" in capsys.readouterr().err
+        assert not out.exists()
 
 
 class TestErrorPaths:
