@@ -1,6 +1,6 @@
 """Closed-form and residue-series quantities for SO(2N) and its excised
 sub-ensemble: Selberg integral, normalization constants, moments and the
-small-value density, the Jacobi Christoffel-Darboux kernel, n-level densities,
+small-value cumulative, the diagonal of the Jacobi Christoffel-Darboux kernel,
 and the excised one-level density with its hard gap.
 
 The excised density admits two equivalent representations: a vertical-line
@@ -14,7 +14,6 @@ estimate misses the requested tolerance.
 from __future__ import annotations
 
 import csv
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -32,23 +31,19 @@ __all__ = [
     "NormalizationResult",
     "DensityGrid",
     "r1_so2n_unscaled",
-    "r1_so2n_scaled_expansion",
     "selberg_integral",
     "c_so2n",
     "moments_so2n",
     "h_exact",
     "h_asymptotic",
-    "value_density_small_x",
     "value_cumulative_small_x",
     "normalization_ratio",
-    "cd_kernel",
     "cd_kernel_diag",
     "excised_integrand",
     "kernel_residue_at_minus_half",
     "r1_excised_line_integral",
     "theta_inf",
     "gap_margin",
-    "n_level_density",
     "density_grid",
     "write_density_csv",
 ]
@@ -93,23 +88,6 @@ def r1_so2n_unscaled(n_pairs: int, theta):
         ratio[~safe] = u
     out = (2 * n_pairs - 1) / (2 * np.pi) + ratio / (2 * np.pi)
     return float(out[0]) if scalar else out
-
-
-def r1_so2n_scaled_expansion(n_pairs: int, y, order: int = 2):
-    """Large-N expansion of the mean-density-scaled SO(2N) one-level density.
-
-    order 0: 1 + sin(2 pi y)/(2 pi y); order 1 adds -(1+cos 2 pi y)/(2N);
-    order 2 adds -pi y sin(2 pi y)/(6 N^2).
-    """
-    if order not in (0, 1, 2):
-        raise DomainError("expansion order must be 0, 1 or 2")
-    y = np.asarray(y, dtype=float)
-    out = 1.0 + np.sinc(2.0 * y)
-    if order >= 1:
-        out = out - (1.0 + np.cos(2 * np.pi * y)) / (2.0 * n_pairs)
-    if order >= 2:
-        out = out - np.pi * y * np.sin(2 * np.pi * y) / (6.0 * n_pairs**2)
-    return float(out) if out.ndim == 0 else out
 
 
 def _is_real(z) -> bool:
@@ -199,15 +177,6 @@ def h_asymptotic(n_pairs: int) -> float:
     return float(2.0 ** (-7.0 / 8.0) * np.exp(log_barnes_g(0.5)) * np.pi ** (-0.25) * n_pairs ** (3.0 / 8.0))
 
 
-def value_density_small_x(n_pairs: int, x) -> float:
-    """Small-value density P_O(N, x) ~ x^(-1/2) h(N) of the characteristic polynomial."""
-    x = np.asarray(x, dtype=float)
-    if np.any(x <= 0):
-        raise DomainError("value density requires x > 0")
-    out = x ** (-0.5) * h_exact(n_pairs)
-    return float(out) if out.ndim == 0 else out
-
-
 def value_cumulative_small_x(n_pairs: int, x) -> float:
     """Small-x cumulative 2 sqrt(x) h(N) = Prob(0 <= Lambda <= x)."""
     x = np.asarray(x, dtype=float)
@@ -274,53 +243,16 @@ def cd_kernel_diag(n_pairs: int, r, theta):
     return out
 
 
-def cd_kernel(n_pairs: int, r, theta_j, theta_k):
-    """Off-diagonal Christoffel-Darboux kernel f_N^(r-1/2,-1/2)(theta_j, theta_k)."""
-    xj, xk = np.cos(theta_j), np.cos(theta_k)
-    if np.isclose(xj, xk):
-        raise DomainError("use cd_kernel_diag for coincident arguments")
-    r = complex(r)
-    pref = _kernel_prefactor(n_pairs, r)
-    a = r - 0.5
-    p_hi = JacobiOrder(n_pairs, a, -0.5)
-    p_lo = JacobiOrder(n_pairs - 1, a, -0.5)
-    cross = jacobi_p(p_hi, xj) * jacobi_p(p_lo, xk) - jacobi_p(p_lo, xj) * jacobi_p(p_hi, xk)
-    val = pref * (1 - xj) ** (r / 2) * (1 - xk) ** (r / 2) / (xj - xk) * cross
-    return complex(val) if not _is_real(r) else float(np.real(val))
-
-
-def n_level_density(n_pairs: int, r, thetas) -> float:
-    """n-level density of the Jacobi ensemble: det of the n x n kernel matrix.
-
-    Repeated theta values make the kernel matrix rank deficient; the
-    determinant is then 0, which is returned with a warning.
-    """
-    thetas = np.asarray(thetas, dtype=float)
-    n = len(thetas)
-    if n > n_pairs:
-        raise DomainError("n-level density needs n <= N")
-    if len(np.unique(thetas)) != n:
-        warnings.warn("repeated theta values: kernel matrix is singular, density is 0")
-        return 0.0
-    mat = np.empty((n, n), dtype=complex)
-    for i in range(n):
-        for j in range(n):
-            mat[i, j] = cd_kernel_diag(n_pairs, r, thetas[i]) if i == j else cd_kernel(
-                n_pairs, r, thetas[i], thetas[j]
-            )
-    return float(np.real(np.linalg.det(mat)))
-
-
 # ---------------------------------------------------------------------------
 # contour machinery for the excised ensemble
 # ---------------------------------------------------------------------------
 
 def excised_integrand(n_pairs: int, log_cutoff: float, theta, r):
     """Integrand of the vertical-line representation of the excised one-level
-    density (without the normalization constant C_X).
+    density times the normalization ratio P(log Lambda >= X).
 
-    It equals moments_so2n(N, r) f_N^(r-1/2,-1/2)(theta, theta) e^(-rX) /
-    (r C_SO(2N)).
+    It equals moments_so2n(N, r) f_N^(r-1/2,-1/2)(theta, theta) e^(-rX) / r;
+    its residue at r = 0 is the SO(2N) one-level density.
     """
     r = np.asarray(r, dtype=complex)
     if np.any(r == 0):
@@ -331,7 +263,7 @@ def excised_integrand(n_pairs: int, log_cutoff: float, theta, r):
     th = np.asarray(theta, dtype=float)
     if np.any(th <= 0) or np.any(th > np.pi):
         raise DomainError("excised_integrand requires theta in (0, pi]")
-    scale = moments_so2n(n_pairs, r, analytic_continuation=True) * np.exp(-r * log_cutoff) / (r * c_so2n(n_pairs))
+    scale = moments_so2n(n_pairs, r, analytic_continuation=True) * np.exp(-r * log_cutoff) / r
     return scale * _kernel_diag(n_pairs, r, np.cos(th))
 
 
@@ -361,7 +293,7 @@ def _higher_pole_residues(func, truncation_K: int):
 
 def kernel_residue_at_minus_half(n_pairs: int, log_cutoff: float, theta):
     """Closed-form residue of the excised integrand at the simple pole r = -1/2:
-    -2 e^(X/2) h(N) / C_SO(2N) times the kernel diagonal f_N^(-1,-1/2)(theta, theta).
+    -2 e^(X/2) h(N) times the kernel diagonal f_N^(-1,-1/2)(theta, theta).
 
     Vanishes identically for N = 1, where the Gamma factors cancel the pole.
     Accepts theta in (0, pi], unlike `cd_kernel_diag`.
@@ -370,18 +302,19 @@ def kernel_residue_at_minus_half(n_pairs: int, log_cutoff: float, theta):
     if n_pairs == 1:
         return 0.0 if th.ndim == 0 else np.zeros_like(th)
     diag = np.real(_kernel_diag(n_pairs, -0.5, np.cos(th)))
-    out = -2.0 * np.exp(0.5 * log_cutoff) * h_exact(n_pairs) / c_so2n(n_pairs) * diag
+    out = -2.0 * np.exp(0.5 * log_cutoff) * h_exact(n_pairs) * diag
     return float(out) if out.ndim == 0 else out
 
 
 @dataclass(frozen=True)
 class NormalizationResult:
-    """C_SO(2N)/C_X as a residue series with its truncation diagnostics.
+    """The Haar probability P(log Lambda >= X) as a residue series with its
+    truncation diagnostics.
 
     `coefficients[k]` belongs to the pole `poles[k]`: the r = 0 coefficient is
     the raw residue, and the half-integer ones carry the exponential factor
     exp((k+1/2) X) stripped.  `tail_estimate` is the magnitude of the next
-    pole's residue; `warning` is set when it exceeds 1e-10.
+    pole's residue.
     """
 
     poles: np.ndarray
@@ -392,10 +325,6 @@ class NormalizationResult:
     @property
     def value(self) -> float:
         return float(np.real(np.sum(self.term_values())))
-
-    @property
-    def warning(self) -> bool:
-        return self.tail_estimate > _RATIO_TOL
 
     def term_values(self) -> np.ndarray:
         # pole -(2k+1)/2 contributes exp((k+1/2) X) = exp(-pole * X)
@@ -409,7 +338,6 @@ class NormalizationResult:
             "coefficients_re": [float(np.real(c)) for c in self.coefficients],
             "coefficients_im": [float(np.imag(c)) for c in self.coefficients],
             "K": len(self.poles) - 2,
-            "warning": self.warning,
         }
 
 
@@ -419,8 +347,9 @@ def normalization_ratio(n_pairs: int, log_cutoff: float, truncation_K: int = 10)
 
     Raises DomainError when the truncated series does not lie in (0, 1]: for
     large N it is summed outside the range where it converges.  Also raises
-    when its terms cancel so far that rounding, eps times the summed term
-    magnitudes, exceeds 1e-10.
+    when it is not certified to 1e-10: when the next pole's residue (the
+    truncation tail) or the rounding floor, eps times the summed term
+    magnitudes, exceeds it.
     """
     if log_cutoff >= 2 * n_pairs * _LOG2:
         raise DomainError("cutoff at or above the attainable maximum: ensemble is empty")
@@ -448,10 +377,10 @@ def normalization_ratio(n_pairs: int, log_cutoff: float, truncation_K: int = 10)
             "the residue series is summed outside the range where it converges"
         )
     floor = _EPS * magnitude
-    if floor > _RATIO_TOL:
+    if tail > _RATIO_TOL or floor > _RATIO_TOL:
         raise DomainError(
             f"normalization ratio {result.value:.6g} at N={n_pairs}, X={log_cutoff:g} is not certified: "
-            f"its residue terms cancel to a rounding floor of {floor:.2g}"
+            f"its series tail is {tail:.2g} and its rounding floor {floor:.2g}, against {_RATIO_TOL:.0e}"
         )
     return result
 
@@ -479,7 +408,8 @@ def _line_quadrature(n_pairs: int, log_cutoff: float, theta: float, c: float):
     """(1/2 pi) times the full vertical-line integral of the excised integrand
     at Re(r) = c, tail-completed with the fitted power-law model.
 
-    Returns (value, tail_error_estimate); both exclude the C_X factor.
+    Returns (value, tail_error_estimate); both are still to be divided by the
+    normalization ratio.
     """
     d = gap_margin(n_pairs, log_cutoff, theta)
     if d < 0:
@@ -528,10 +458,9 @@ def r1_excised_line_integral(n_pairs: int, log_cutoff: float, theta: float, c: f
         return 0.0
     ratio = normalization_ratio(n_pairs, log_cutoff, 10).value
     value, tail_err = _line_quadrature(n_pairs, log_cutoff, theta, c)
-    cx = c_so2n(n_pairs) * (1.0 / ratio)
-    if cx * tail_err > tol:
-        raise DomainError(f"line-integral tail estimate {cx * tail_err:.2e} exceeds tolerance {tol:.2e}")
-    return cx * value
+    if tail_err / ratio > tol:
+        raise DomainError(f"line-integral tail estimate {tail_err / ratio:.2e} exceeds tolerance {tol:.2e}")
+    return value / ratio
 
 
 # ---------------------------------------------------------------------------
@@ -539,12 +468,13 @@ def r1_excised_line_integral(n_pairs: int, log_cutoff: float, theta: float, c: f
 # ---------------------------------------------------------------------------
 
 def _residue_sum_grid(n_pairs: int, log_cutoff: float, thetas: np.ndarray, truncation_K: int):
-    """Residue-series sum (without C_X) and per-theta tail estimate on a grid.
+    """Residue-series sum (not yet divided by the normalization ratio) and
+    per-theta tail estimate on a grid.
 
     The tail includes the rounding floor, eps times the summed magnitudes of
     the terms, so points where the terms cancel take the line route.
     """
-    leading = r1_so2n_unscaled(n_pairs, thetas) / c_so2n(n_pairs)
+    leading = r1_so2n_unscaled(n_pairs, thetas)
     minus_half = kernel_residue_at_minus_half(n_pairs, log_cutoff, thetas)
     total = leading + minus_half
     magnitude = np.abs(leading) + np.abs(minus_half)
@@ -559,8 +489,9 @@ def _residue_sum_grid(n_pairs: int, log_cutoff: float, thetas: np.ndarray, trunc
 @dataclass(frozen=True)
 class DensityGrid:
     """Excised one-level density on an ascending theta grid.  `tails` holds the
-    C_X-scaled tail estimate of the route that produced each value (the line
-    quadrature where `line_route` is set); `ratio` is the normalization used."""
+    tail estimate, divided by the ratio like the values, of the route that
+    produced each value (the line quadrature where `line_route` is set);
+    `ratio` is the normalization the values were divided by."""
 
     thetas: np.ndarray
     values: np.ndarray
@@ -588,18 +519,18 @@ def density_grid(n_pairs: int, log_cutoff: float, thetas, truncation_K: int = 10
     """
     thetas = np.atleast_1d(np.asarray(thetas, dtype=float))
     ratio = normalization_ratio(n_pairs, log_cutoff, max(truncation_K, 10))
-    cx = c_so2n(n_pairs) / ratio.value
+    norm = ratio.value
     values = np.zeros_like(thetas)
     tails = np.zeros_like(thetas)
     live = gap_margin(n_pairs, log_cutoff, thetas) > 0
     if np.any(live):
         sums, residue_tails = _residue_sum_grid(n_pairs, log_cutoff, thetas[live], truncation_K)
-        values[live] = cx * sums
-        tails[live] = cx * residue_tails
+        values[live] = sums / norm
+        tails[live] = residue_tails / norm
     line_route = tails > tol
     for i in np.nonzero(line_route)[0]:
         value, tail_err = _line_quadrature(n_pairs, log_cutoff, float(thetas[i]), 0.5)
-        values[i], tails[i] = cx * value, cx * tail_err
+        values[i], tails[i] = value / norm, tail_err / norm
     return DensityGrid(thetas, np.maximum(values, 0.0), n_pairs, log_cutoff, tails, line_route, ratio)
 
 

@@ -115,6 +115,8 @@ def _cmd_first_eigenvalue(args) -> int:
 
 def _cmd_density(args) -> int:
     log_cutoff = _resolve_log_cutoff(args)
+    if args.grid < 1:
+        raise DomainError("--grid must be >= 1")
     thetas = np.linspace(0.0, np.pi, args.grid)
     grid = analytic.density_grid(args.n, log_cutoff, thetas, truncation_K=args.poles)
     analytic.write_density_csv(grid, args.out)
@@ -124,7 +126,6 @@ def _cmd_density(args) -> int:
         theta_inf=analytic.theta_inf(args.n, log_cutoff),
         normalization_ratio=ratio.value,
         ratio_tail_estimate=ratio.tail_estimate,
-        ratio_warning=ratio.warning,
         normalization_series=ratio.to_json_dict(),
         line_route_points=int(np.count_nonzero(grid.line_route)),
         max_tail=float(grid.tails.max(initial=0.0)),

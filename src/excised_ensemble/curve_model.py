@@ -1,6 +1,6 @@
 """Elliptic-curve calibration pipeline: matrix sizes from the twist bound,
 cutoff constants from the Waldspurger-type discretization, naive point counts
-over F_p, local Euler factors, and the arithmetic constant a_s(E).
+over F_p, and the arithmetic constant a_s(E) as a truncated Euler product.
 
 Only prime conductors are supported.  The curve constants kappa_E, r1,
 a_{-1/2} and delta are inputs (shipped for the conductor-11 example family);
@@ -26,12 +26,9 @@ __all__ = [
     "cutoff_std",
     "cutoff_eff",
     "delta_from_vanishing_constant",
-    "vanishing_constant_from_delta",
-    "expected_vanishing_count",
     "count_points_fp",
     "count_points_double_loop",
     "lambda_p",
-    "local_factor",
     "a_s_truncated",
     "cutoff_report",
     "read_curve_config",
@@ -164,40 +161,12 @@ def cutoff_eff(params: CurveFamilyParams) -> float:
     return cutoff_std(params) * (2.0 * params.r1) ** (-0.75)
 
 
-def _vanishing_prefactor() -> float:
-    # (8/3) 2^(-7/8) G(1/2) pi^(-1/4)
-    return float((8.0 / 3.0) * 2.0 ** (-7.0 / 8.0) * np.exp(log_barnes_g(0.5)) * np.pi ** (-0.25))
-
-
 def delta_from_vanishing_constant(observed: float) -> float:
     """Invert (8/3) 2^(-7/8) G(1/2) pi^(-1/4) delta^(1/2) = observed for delta."""
     if observed <= 0:
         raise DomainError("observed constant must be positive")
-    return float((observed / _vanishing_prefactor()) ** 2)
-
-
-def vanishing_constant_from_delta(delta: float) -> float:
-    return float(_vanishing_prefactor() * np.sqrt(delta))
-
-
-def expected_vanishing_count(x_bound: float, params: CurveFamilyParams) -> float:
-    """Conjectured number of vanishing central values among prime twists up to X."""
-    if x_bound <= 1:
-        raise DomainError("X must exceed 1")
-    logx = np.log(x_bound)
-    return float(
-        (1.0 / (4.0 * logx))
-        * 2.0
-        * params.a_minus_half
-        * np.sqrt(params.kappa_E)
-        * 2.0 ** (-7.0 / 8.0)
-        * np.exp(log_barnes_g(0.5))
-        * np.pi ** (-0.25)
-        * logx ** (3.0 / 8.0)
-        * np.sqrt(params.delta)
-        * (4.0 / 3.0)
-        * x_bound ** (3.0 / 4.0)
-    )
+    prefactor = (8.0 / 3.0) * 2.0 ** (-7.0 / 8.0) * np.exp(log_barnes_g(0.5)) * np.pi ** (-0.25)
+    return float((observed / prefactor) ** 2)
 
 
 def count_points_double_loop(weierstrass, p: int) -> int:
@@ -249,14 +218,6 @@ def lambda_p(weierstrass, p: int) -> float:
     return count_points_fp(weierstrass, p) / np.sqrt(p)
 
 
-def local_factor(lam: float, psi: int, z: float) -> float:
-    """Local factor (1 - lambda z + psi z^2)^-1; psi is 1 off the conductor, 0 at it."""
-    denom = 1.0 - lam * z + psi * z * z
-    if denom == 0:
-        raise DomainError("local factor evaluated at a zero of its denominator")
-    return 1.0 / denom
-
-
 @dataclass(frozen=True)
 class EulerProductResult:
     """Truncated Euler product with its convergence diagnostic."""
@@ -265,9 +226,6 @@ class EulerProductResult:
     p_max: int
     last_decade_increment: Optional[float]
     decade_values: dict
-
-    def __float__(self) -> float:
-        return self.value
 
 
 def _combined_prime_factor(weierstrass, conductor_M: int, omega: int, s: float, p: int) -> float:

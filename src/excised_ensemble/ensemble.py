@@ -206,8 +206,10 @@ def empirical_one_level_density(stream, bin_edges) -> Histogram:
 def cdf_distance(a: Histogram, b: Histogram, n_grid: int = 64) -> float:
     """Mean of |CDF_a - CDF_b| over `n_grid` evenly spaced points spanning
     the support of `b` (the reference data).  Raises DomainError when the
-    supports are disjoint.
+    supports are disjoint or `n_grid` < 1.
     """
+    if n_grid < 1:
+        raise DomainError("n_grid must be >= 1")
     lo_a, hi_a = a.support
     lo_b, hi_b = b.support
     if hi_a <= lo_b or hi_b <= lo_a:

@@ -20,7 +20,6 @@ from .errors import DomainError
 
 __all__ = [
     "JacobiOrder",
-    "NormalizationData",
     "log_gamma",
     "barnes_g",
     "log_barnes_g",
@@ -29,7 +28,6 @@ __all__ = [
     "jacobi_p",
     "jacobi_p_recurrence",
     "jacobi_p_deriv",
-    "jacobi_norms",
 ]
 
 ZETA_PRIME_AT_MINUS_ONE = -0.16542114370045092921
@@ -141,26 +139,6 @@ class JacobiOrder:
     def __post_init__(self):
         if self.n < 0:
             raise DomainError("Jacobi degree must be nonnegative")
-
-
-@dataclass(frozen=True)
-class NormalizationData:
-    """Orthogonality norm h_n and leading coefficient ell_n of P_n^(alpha,beta)."""
-
-    h_n: complex
-    ell_n: complex
-
-
-def jacobi_norms(order: JacobiOrder) -> NormalizationData:
-    """h_n = 2^(a+b+1)/(2n+a+b+1) G(n+a+1)G(n+b+1)/(G(n+1)G(n+a+b+1)); ell_n = 2^-n binom(2n+a+b, n)."""
-    n, a, b = order.n, order.alpha, order.beta
-    h = (
-        2.0 ** (a + b + 1)
-        / (2 * n + a + b + 1)
-        * np.exp(log_gamma(n + a + 1) + log_gamma(n + b + 1) - log_gamma(n + 1.0) - log_gamma(n + a + b + 1))
-    )
-    ell = 2.0 ** (-n) * generalized_binomial(2 * n + a + b, n)
-    return NormalizationData(h_n=complex(h), ell_n=complex(ell))
 
 
 def _near_nonpositive_integer(c) -> bool:

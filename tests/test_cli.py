@@ -43,6 +43,31 @@ class TestDensityCommand:
         assert not out.exists()
         assert capsys.readouterr().err.startswith("error:")
 
+    def test_uncertified_ratio_is_domain_error(self, tmp_path, capsys):
+        # the series tail is 8.5e-5 here and the ratio is off by 9.6e-5 relative
+        out = tmp_path / "density.csv"
+        code = run(["density", "--n", 20, "--cutoff", 0.005424, "--grid", 20,
+                    "--out", out, "--summary", tmp_path / "s.json"])
+        assert code == 1
+        assert not out.exists()
+        assert capsys.readouterr().err.startswith("error:")
+
+    def test_past_weyl_constant_overflow(self, tmp_path):
+        # c_so2n overflows at N = 40, but the density never uses it
+        out = tmp_path / "density.csv"
+        code = run(["density", "--n", 40, "--cutoff-log", -40, "--grid", 20,
+                    "--out", out, "--summary", tmp_path / "s.json"])
+        assert code == 0
+        assert len(out.read_text().strip().split("\n")) == 21
+
+    @pytest.mark.parametrize("grid", [0, -1])
+    def test_grid_below_one_is_domain_error(self, tmp_path, capsys, grid):
+        out, summary = tmp_path / "density.csv", tmp_path / "s.json"
+        code = run(["density", "--n", 2, "--cutoff", 0.1, "--grid", grid, "--out", out, "--summary", summary])
+        assert code == 1
+        assert capsys.readouterr().err.startswith("error:")
+        assert not out.exists() and not summary.exists()
+
     def test_byte_identical_reruns(self, tmp_path):
         paths = [(tmp_path / f"d{i}.csv", tmp_path / f"s{i}.json") for i in (1, 2)]
         for out, summ in paths:
@@ -191,6 +216,15 @@ class TestCompareCommand:
         run(["compare", "--a", a, "--b", b, "--out", out])
         expected = ensemble.cdf_distance(ha, hb)
         assert json.loads(out.read_text())["cdf_distance"] == pytest.approx(expected, rel=1e-12)
+
+    @pytest.mark.parametrize("grid", [0, -3])
+    def test_grid_below_one_is_domain_error(self, tmp_path, capsys, grid):
+        a = tmp_path / "a.csv"
+        self._write_hist(a, seed=1)
+        out = tmp_path / "cmp.json"
+        assert run(["compare", "--a", a, "--b", a, "--grid", grid, "--out", out]) == 1
+        assert capsys.readouterr().err.startswith("error:")
+        assert not out.exists()
 
     def test_one_column_sample_loader(self, tmp_path):
         rng = np.random.default_rng(0)

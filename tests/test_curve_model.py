@@ -12,19 +12,22 @@ from excised_ensemble.curve_model import (
     cutoff_report,
     cutoff_std,
     delta_from_vanishing_constant,
-    expected_vanishing_count,
     lambda_p,
-    local_factor,
     n_eff,
     n_std,
     read_curve_config,
-    vanishing_constant_from_delta,
 )
 from excised_ensemble.errors import DomainError
 
 E11_WEIERSTRASS = (0, -1, 1, 0, 0)
 # first Dirichlet coefficients of the conductor-11 newform (well-known values)
 E11_AP = {2: -2, 3: -1, 5: 1, 7: -2, 11: 1, 13: 4, 17: -2, 19: 0}
+
+
+def _vanishing_constant(delta):
+    """(8/3) 2^(-7/8) G(1/2) pi^(-1/4) delta^(1/2), the relation that
+    `delta_from_vanishing_constant` inverts; G(1/2) = 0.60324428120944621."""
+    return (8 / 3) * 2 ** (-7 / 8) * 0.60324428120944621 * np.pi ** (-0.25) * np.sqrt(delta)
 
 
 @pytest.fixture(scope="module")
@@ -74,11 +77,11 @@ class TestCutoffConstants:
         assert delta_from_vanishing_constant(0.2834620) == pytest.approx(0.185116, abs=5e-6)
 
     def test_inversion_identity(self):
-        assert delta_from_vanishing_constant(vanishing_constant_from_delta(1.0)) == pytest.approx(1.0)
+        assert delta_from_vanishing_constant(_vanishing_constant(1.0)) == pytest.approx(1.0)
 
     def test_round_trip_stable(self):
         delta = 0.3721
-        again = delta_from_vanishing_constant(vanishing_constant_from_delta(delta))
+        again = delta_from_vanishing_constant(_vanishing_constant(delta))
         assert again == pytest.approx(delta, rel=1e-12)
 
 
@@ -137,22 +140,6 @@ class TestPointCounting:
         assert lambda_p(E11_WEIERSTRASS, 13) == pytest.approx(4 / np.sqrt(13))
 
 
-class TestLocalFactor:
-    def test_z_zero(self):
-        assert local_factor(0.7, 1, 0.0) == 1.0
-
-    def test_conductor_degenerate(self):
-        lam, z = 1 / np.sqrt(11), 0.2
-        assert local_factor(lam, 0, z) == pytest.approx(1 / (1 - lam * z))
-
-    def test_lambda_zero(self):
-        assert local_factor(0.0, 1, 0.3) == pytest.approx(1 / 1.09)
-
-    def test_zero_denominator(self):
-        with pytest.raises(DomainError):
-            local_factor(2.0, 1, 1.0)
-
-
 class TestEulerProduct:
     def test_s_zero_is_one(self):
         for p_max in (10, 100, 1000):
@@ -190,37 +177,6 @@ class TestEulerProduct:
     def test_p_max_domain(self):
         with pytest.raises(DomainError):
             a_s_truncated(E11_WEIERSTRASS, 11, +1, -0.5, 1)
-
-
-class TestVanishingCount:
-    def test_normalized_count_recovers_observed_constant(self, e11):
-        x = 400_000.0
-        count = expected_vanishing_count(x, e11)
-        normalizer = 0.25 * e11.a_minus_half * np.sqrt(e11.kappa_E) * x**0.75 * np.log(x) ** (-5 / 8)
-        assert count / normalizer == pytest.approx(0.2834620, abs=2e-6)
-
-    def test_x_scaling(self, e11):
-        # X^(3/4) dominance with the slowly varying log correction
-        c1 = expected_vanishing_count(1e5, e11)
-        c16 = expected_vanishing_count(16e5, e11)
-        log_corr = (np.log(16e5) / np.log(1e5)) ** (-5 / 8)
-        assert c16 / c1 == pytest.approx(16**0.75 * log_corr, rel=1e-12)
-
-    def test_vanishes_with_delta(self, e11):
-        tiny = CurveFamilyParams(
-            conductor_M=e11.conductor_M,
-            weierstrass=e11.weierstrass,
-            kappa_E=e11.kappa_E,
-            a_minus_half=e11.a_minus_half,
-            r1=e11.r1,
-            delta=1e-30,
-            sign_omega=1,
-        )
-        assert expected_vanishing_count(400_000.0, tiny) < 1e-8
-
-    def test_domain(self, e11):
-        with pytest.raises(DomainError):
-            expected_vanishing_count(1.0, e11)
 
 
 class TestParamsAndConfig:

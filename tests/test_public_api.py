@@ -1,6 +1,8 @@
+import ast
 import importlib
 import inspect
 import pkgutil
+from pathlib import Path
 
 import pytest
 
@@ -40,3 +42,32 @@ def test_all_lists_exactly_the_public_definitions(module):
         if inspect.isfunction(getattr(module, name)) or inspect.isclass(getattr(module, name))
     }
     assert _public_definitions(module) == callables
+
+
+# Public names that nothing in the package calls, kept because a test uses
+# each one as an independent reference.
+ORACLES = {
+    "value_cumulative_small_x",  # test_acceptance.py::test_c11_value_density_tail
+    "delta_from_vanishing_constant",  # test_acceptance.py::test_c09_calibration_numbers
+    "barnes_g",  # test_acceptance.py::test_c10_special_function_anchors
+    "r1_excised_line_integral",  # test_acceptance.py::test_c06_dual_route_identity
+    "cd_kernel_diag",  # test_analytic.py::TestKernel checks the kernel the density runs
+}
+
+
+def _referenced_names() -> set:
+    """Every name and attribute that the package's source mentions."""
+    names = set()
+    for path in Path(excised_ensemble.__file__).parent.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Name):
+                names.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                names.add(node.attr)
+    return names
+
+
+def test_every_public_name_has_a_caller_or_is_a_named_oracle():
+    exported = {name for module in WITH_ALL for name in module.__all__}
+    unreferenced = exported - _referenced_names()
+    assert unreferenced == ORACLES

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy.special import eval_jacobi, roots_jacobi
+from scipy.special import eval_jacobi, gammaln, roots_jacobi
 
 from excised_ensemble.errors import DomainError
 from excised_ensemble.special_functions import (
@@ -12,7 +12,6 @@ from excised_ensemble.special_functions import (
     barnes_g,
     generalized_binomial,
     hyp2f1_terminating,
-    jacobi_norms,
     jacobi_p,
     jacobi_p_deriv,
     jacobi_p_recurrence,
@@ -206,6 +205,12 @@ class TestJacobiDerivative:
         assert abs(jacobi_p_deriv(order, x) - fd) < 1e-7 * max(1.0, abs(fd))
 
 
+def _jacobi_norm(n, a, b):
+    """h_n = 2^(a+b+1)/(2n+a+b+1) Gamma(n+a+1)Gamma(n+b+1)/(Gamma(n+1)Gamma(n+a+b+1))."""
+    log_ratio = gammaln(n + a + 1) + gammaln(n + b + 1) - gammaln(n + 1) - gammaln(n + a + b + 1)
+    return 2 ** (a + b + 1) / (2 * n + a + b + 1) * np.exp(log_ratio)
+
+
 class TestOrthogonality:
     @pytest.mark.parametrize("a,b", [(0.7, -0.3), (1.5, -0.5), (0.0, 0.0)])
     def test_gauss_jacobi_quadrature(self, a, b):
@@ -218,14 +223,6 @@ class TestOrthogonality:
                 pm = np.array([jacobi_p(JacobiOrder(m, a, b), x) for x in nodes])
                 integral = np.sum(weights * pn * pm).real
                 if n == m:
-                    h = jacobi_norms(JacobiOrder(n, a, b)).h_n.real
-                    assert integral == pytest.approx(h, rel=1e-8)
+                    assert integral == pytest.approx(_jacobi_norm(n, a, b), rel=1e-8)
                 else:
                     assert abs(integral) < 1e-8
-
-    def test_norm_positive_for_real_orders(self):
-        assert jacobi_norms(JacobiOrder(3, 0.25, -0.5)).h_n.real > 0
-
-    def test_leading_coefficient(self):
-        # ell_2^(0,0) for Legendre P_2 = (3x^2-1)/2 is 3/2
-        assert jacobi_norms(JacobiOrder(2, 0.0, 0.0)).ell_n == pytest.approx(1.5)
