@@ -157,18 +157,16 @@ def _cmd_cutoff(args) -> int:
 
 def _cmd_ap_count(args) -> int:
     params, _ = curve_model.read_curve_config(_resolve_config_path(args.config))
-    primes = [int(p) for p in curve_model._sieve(args.p_max)]
+    a_p = curve_model.point_counts(params.weierstrass, args.p_max, params.conductor_M)
     with open(args.out, "w", newline="\n") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(["p", "a_p", "lambda_p"])
-        for p in primes:
-            ap = curve_model.count_points_fp(params.weierstrass, p)
-            writer.writerow([p, ap, repr(ap / np.sqrt(p))])
+        for p, ap in a_p.items():
+            if p <= args.p_max:
+                writer.writerow([p, ap, repr(ap / np.sqrt(p))])
     extra = {}
     if args.euler_s is not None:
-        result = curve_model.a_s_truncated(
-            params.weierstrass, params.conductor_M, params.sign_omega, args.euler_s, args.p_max
-        )
+        result = curve_model.a_s_truncated(a_p, params.conductor_M, params.sign_omega, args.euler_s, args.p_max)
         extra = {
             "a_s_value": result.value,
             "a_s_last_decade_increment": result.last_decade_increment,
@@ -246,7 +244,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", default="cutoff.json")
     p.set_defaults(func=_cmd_cutoff)
 
-    p = sub.add_parser("ap-count", help="naive point counts a_p and optional Euler product")
+    p = sub.add_parser("ap-count", help="point counts a_p (baby-step giant-step) and optional Euler product")
     p.add_argument("--config", required=True)
     p.add_argument("--p-max", type=int, default=1000)
     p.add_argument("--euler-s", type=float, help="also evaluate a_s(E) at this s")

@@ -1,6 +1,7 @@
 """Elliptic-curve calibration pipeline: matrix sizes from the twist bound,
-cutoff constants from the Waldspurger-type discretization, naive point counts
-over F_p, and the arithmetic constant a_s(E) as a truncated Euler product.
+cutoff constants from the Waldspurger-type discretization, point counts over
+F_p (baby-step giant-step on E or its quadratic twist), and the arithmetic
+constant a_s(E) as a truncated Euler product of those counts.
 
 Only prime conductors are supported.  The curve constants kappa_E, r1,
 a_{-1/2} and delta are inputs (shipped for the conductor-11 example family);
@@ -10,6 +11,7 @@ deriving them is out of scope.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import isqrt
 from typing import Optional
 
 import numpy as np
@@ -28,7 +30,7 @@ __all__ = [
     "delta_from_vanishing_constant",
     "count_points_fp",
     "count_points_double_loop",
-    "lambda_p",
+    "point_counts",
     "a_s_truncated",
     "cutoff_report",
     "read_curve_config",
@@ -186,23 +188,21 @@ def count_points_double_loop(weierstrass, p: int) -> int:
     return p + 1 - count
 
 
-def count_points_fp(weierstrass, p: int) -> int:
-    """a(p) = p + 1 - #E(F_p) by completing the square and summing the
-    quadratic character of the resulting cubic (O(p) per prime).
-
-    p = 2 and p = 3 fall back to full two-variable enumeration of the general
-    Weierstrass form, avoiding the characteristic-2/3 transformation.  At the
-    conductor itself the count (singular point included) reproduces the
-    multiplicative-reduction coefficient a(M) = +-1.
-    """
-    if not _is_prime(p):
-        raise DomainError("p must be prime")
-    if p in (2, 3):
-        return count_points_double_loop(weierstrass, p)
+def _b_invariants(weierstrass) -> tuple:
+    """(b2, b4, b6) of the general Weierstrass form: completing the square
+    turns it into (2y + c1 x + c3)^2 = 4x^3 + b2 x^2 + 2 b4 x + b6."""
     c1, c2, c3, c4, c6 = (int(v) for v in weierstrass)
-    b2 = c1 * c1 + 4 * c2
-    b4 = 2 * c4 + c1 * c3
-    b6 = c3 * c3 + 4 * c6
+    return c1 * c1 + 4 * c2, 2 * c4 + c1 * c3, c3 * c3 + 4 * c6
+
+
+def _count_points_character_sum(weierstrass, p: int) -> int:
+    """a(p) by completing the square and summing the quadratic character of
+    the resulting cubic over all of F_p; O(p), for p >= 5.
+
+    At a prime of bad reduction the count (singular point included) gives
+    the reduction's coefficient: +-1 when multiplicative, 0 when additive.
+    """
+    b2, b4, b6 = _b_invariants(weierstrass)
     x = np.arange(p, dtype=np.int64)
     f = (4 * ((x * x % p) * x % p) + (b2 % p) * (x * x % p) + (2 * b4 % p) * x + b6) % p
     half = np.arange((p + 1) // 2, dtype=np.int64)
@@ -213,9 +213,144 @@ def count_points_fp(weierstrass, p: int) -> int:
     return -chi_sum
 
 
-def lambda_p(weierstrass, p: int) -> float:
-    """Normalized Dirichlet coefficient lambda(p) = a(p) / sqrt(p)."""
-    return count_points_fp(weierstrass, p) / np.sqrt(p)
+# Above this bound E or its quadratic twist has a point whose order has
+# exactly one multiple in the Hasse interval (Cremona-Sutherland 2010,
+# extending Mestre), so the baby-step giant-step search always ends.
+_MESTRE_BOUND = 229
+
+
+def _ec_add(P, Q, a: int, p: int):
+    """P + Q on y^2 = x^3 + a x + b over F_p; None is the point at infinity."""
+    if P is None:
+        return Q
+    if Q is None:
+        return P
+    x1, y1 = P
+    x2, y2 = Q
+    if x1 == x2:
+        if (y1 + y2) % p == 0:
+            return None
+        slope = (3 * x1 * x1 + a) * pow(2 * y1, -1, p) % p
+    else:
+        slope = (y2 - y1) * pow(x2 - x1, -1, p) % p
+    x3 = (slope * slope - x1 - x2) % p
+    return x3, (slope * (x1 - x3) - y1) % p
+
+
+def _ec_mul(n: int, P, a: int, p: int):
+    """n P by double-and-add."""
+    if n < 0:
+        n, P = -n, (P[0], -P[1] % p)
+    result = None
+    while n:
+        if n & 1:
+            result = _ec_add(result, P, a, p)
+        P = _ec_add(P, P, a, p)
+        n >>= 1
+    return result
+
+
+def _hasse_traces(P, a: int, p: int) -> set:
+    """Every t with |t| <= 2 sqrt(p) and (p + 1 - t) P = O, or an empty set
+    when P has order at most 2m, which leaves several such t.
+
+    Baby steps store x(jP) for j = 1..m; giant steps write t = k g + j' with
+    g = 2m + 1 and |j'| <= m, so (p + 1 - k g) P = +-jP is an x lookup.
+    The sign is not tracked: each of k g +- j is checked by one scalar
+    multiplication instead.
+    """
+    bound = isqrt(4 * p)
+    m = isqrt(bound) + 1
+    g = 2 * m + 1
+    baby = {}
+    R = P
+    for j in range(1, m + 1):
+        # a repeated x or a 2-torsion point means the order of P is at most 2m
+        if R is None or R[0] in baby or R[1] == 0:
+            return set()
+        baby[R[0]] = j
+        R = _ec_add(R, P, a, p)
+    top = (bound + m) // g
+    step = _ec_mul(-g, P, a, p)
+    R = _ec_mul(p + 1 + top * g, P, a, p)  # (p + 1 - k g) P at k = -top
+    traces = set()
+    for k in range(-top, top + 1):
+        if R is None:
+            candidates = (k * g,)
+        elif R[0] in baby:
+            candidates = (k * g + baby[R[0]], k * g - baby[R[0]])
+        else:
+            candidates = ()
+        for t in candidates:
+            if abs(t) <= bound and _ec_mul(p + 1 - t, P, a, p) is None:
+                traces.add(t)
+        R = _ec_add(R, step, a, p)
+    return traces
+
+
+def _count_points_bsgs(c4: int, c6: int, p: int) -> int:
+    """a(p) at a prime p > 229 of good reduction, from one point of E or of
+    its quadratic twist whose order pins #E down within the Hasse interval.
+
+    On the short model y^2 = f(x) = x^3 + A x + B, A = -27 c4 and B = -54 c6,
+    each x0 with d = f(x0) != 0 gives the point (d x0, d^2) on
+    Y^2 = X^3 + A d^2 X + B d^3, which is E when d is a square mod p and the
+    twist of E, with trace -a(p), otherwise.
+    """
+    A = -27 * c4 % p
+    B = -54 * c6 % p
+    for x0 in range(p):
+        d = (x0 * x0 * x0 + A * x0 + B) % p
+        if d == 0:
+            continue
+        traces = _hasse_traces((d * x0 % p, d * d % p), A * d * d % p, p)
+        if len(traces) == 1:
+            (t,) = traces
+            return t if pow(d, (p - 1) // 2, p) == 1 else -t
+    raise ArithmeticError(f"no point pins down #E(F_{p}); impossible above p = {_MESTRE_BOUND}")
+
+
+def count_points_fp(weierstrass, p: int) -> int:
+    """a(p) = p + 1 - #E(F_p).
+
+    At primes p > 229 of good reduction this is baby-step giant-step on E or
+    its quadratic twist, O(p^(1/4)) group operations per prime (Mestre;
+    Cohen, A Course in Computational Algebraic Number Theory, 7.4).  Below
+    that, and at primes dividing c4^3 - c6^2 (the conductor among them), it
+    sums the quadratic character of the cubic, O(p); at the conductor this
+    reproduces the multiplicative-reduction coefficient a(M) = +-1.  p = 2
+    and p = 3 fall back to full two-variable enumeration of the general
+    Weierstrass form, avoiding the characteristic-2/3 transformation.
+    """
+    if not _is_prime(p):
+        raise DomainError("p must be prime")
+    if p in (2, 3):
+        return count_points_double_loop(weierstrass, p)
+    if p <= _MESTRE_BOUND:
+        return _count_points_character_sum(weierstrass, p)
+    b2, b4, b6 = _b_invariants(weierstrass)
+    c4 = b2 * b2 - 24 * b4
+    c6 = -b2 * b2 * b2 + 36 * b2 * b4 - 216 * b6
+    if (c4**3 - c6**2) % p == 0:  # 1728 times the discriminant: bad reduction
+        return _count_points_character_sum(weierstrass, p)
+    return _count_points_bsgs(c4, c6, p)
+
+
+def _euler_primes(p_max: int, conductor_M: int) -> list:
+    """The primes p <= p_max, then the conductor when it exceeds p_max: the
+    Euler product always carries the conductor's factor."""
+    if p_max < 2:
+        raise DomainError("p_max must be at least 2")
+    primes = [int(p) for p in _sieve(p_max)]
+    if conductor_M > p_max:
+        primes.append(conductor_M)
+    return primes
+
+
+def point_counts(weierstrass, p_max: int, conductor_M: int) -> dict:
+    """{p: a(p)} over the primes of `a_s_truncated(..., p_max)`: every prime
+    p <= p_max, and the conductor when it exceeds p_max."""
+    return {p: count_points_fp(weierstrass, p) for p in _euler_primes(p_max, conductor_M)}
 
 
 @dataclass(frozen=True)
@@ -228,14 +363,14 @@ class EulerProductResult:
     decade_values: dict
 
 
-def _combined_prime_factor(weierstrass, conductor_M: int, omega: int, s: float, p: int) -> float:
+def _combined_prime_factor(a: int, conductor_M: int, omega: int, s: float, p: int) -> float:
     """Per-prime factor of a_s(E) with the three displayed brackets merged.
 
     The leading bracket alone, (1 - 1/p)^(s(s-1)/2), diverges when multiplied
     over primes (the exponent is 3/8 at s = -1/2); only the combined factor
     is 1 + O(p^-1)-with-cancellation and yields a convergent product.
     """
-    lam = lambda_p(weierstrass, p)
+    lam = a / np.sqrt(p)  # lambda(p), the normalized Dirichlet coefficient
     lead = (1.0 - 1.0 / p) ** (s * (s - 1.0) / 2.0)
     if p == conductor_M:
         z = omega / np.sqrt(conductor_M)
@@ -246,19 +381,16 @@ def _combined_prime_factor(weierstrass, conductor_M: int, omega: int, s: float, 
     return lead * (p / (p + 1.0)) * (1.0 / p + 0.5 * (plus + minus))
 
 
-def a_s_truncated(weierstrass, conductor_M: int, omega: int, s: float, p_max: int) -> EulerProductResult:
+def a_s_truncated(a_p: dict, conductor_M: int, omega: int, s: float, p_max: int) -> EulerProductResult:
     """Arithmetic constant a_s(E) as a product over primes p <= p_max.
 
+    `a_p` maps each of those primes to a(p), as `point_counts` returns it.
     The conductor factor is always applied (it is a single prime), even when
-    p_max < M.  `last_decade_increment` reports |value(p_max) - value(p_max/10)|
+    p_max < M, so `a_p` must hold a(M) too.  `last_decade_increment` reports |value(p_max) - value(p_max/10)|
     as a convergence diagnostic; it is None for p_max < 100, where there is no
     earlier decade to compare with.
     """
-    if p_max < 2:
-        raise DomainError("p_max must be at least 2")
-    primes = [int(p) for p in _sieve(max(p_max, 2))]
-    if conductor_M > p_max:
-        primes.append(conductor_M)
+    primes = _euler_primes(p_max, conductor_M)
     log_total = 0.0
     decade_values = {}
     next_decade = 10
@@ -266,7 +398,7 @@ def a_s_truncated(weierstrass, conductor_M: int, omega: int, s: float, p_max: in
         while next_decade <= p_max and p > next_decade:
             decade_values[next_decade] = float(np.exp(log_total))
             next_decade *= 10
-        log_total += np.log(_combined_prime_factor(weierstrass, conductor_M, omega, s, p))
+        log_total += np.log(_combined_prime_factor(a_p[p], conductor_M, omega, s, p))
     value = float(np.exp(log_total))
     decade_values[p_max] = value
     prev = [v for k, v in decade_values.items() if k <= p_max / 10]

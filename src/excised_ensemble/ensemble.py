@@ -104,6 +104,8 @@ class Histogram:
 
 def default_bin_edges(n_bins: int = 100, scale: float = 1.0) -> np.ndarray:
     """Default binning: `n_bins` equal bins over [0, pi * scale]."""
+    if not (np.isfinite(scale) and scale > 0):
+        raise DomainError(f"scale must be finite and positive, got {scale}")
     return np.linspace(0.0, np.pi * scale, n_bins + 1)
 
 

@@ -33,6 +33,7 @@ from excised_ensemble.curve_model import (
     count_points_fp,
     cutoff_report,
     delta_from_vanishing_constant,
+    point_counts,
     read_curve_config,
 )
 from excised_ensemble.ensemble import ExcisionSpec, sample_excised
@@ -273,7 +274,8 @@ def test_c13_arithmetic():
     primes_200 = [p for p in range(2, 201) if all(p % q for q in range(2, int(p**0.5) + 1))]
     dual_ok = all(count_points_fp(curve, p) == count_points_double_loop(curve, p) for p in primes_200)
     hasse_ok = all(abs(count_points_fp(curve, p)) <= 2 * np.sqrt(p) for p in primes_200 if p <= 100)
-    result = a_s_truncated(curve, params.conductor_M, params.sign_omega, -0.5, 100_000)
+    a_p = point_counts(curve, 100_000, params.conductor_M)
+    result = a_s_truncated(a_p, params.conductor_M, params.sign_omega, -0.5, 100_000)
     value_err = abs(result.value - 0.732728078)
     increments = [
         abs(result.decade_values[10_000] - result.decade_values[1000]),

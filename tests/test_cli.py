@@ -4,7 +4,7 @@ from importlib import resources
 import numpy as np
 import pytest
 
-from excised_ensemble import ensemble
+from excised_ensemble import curve_model, ensemble
 from excised_ensemble.cli import main
 
 E11_CFG = str(resources.files("excised_ensemble.data") / "e11.cfg")
@@ -120,6 +120,15 @@ class TestSampleCommands:
         hist = ensemble.read_histogram_csv(out)
         assert np.sum(hist.values() * hist.widths) == pytest.approx(1.0, abs=1e-9)
 
+    @pytest.mark.parametrize("subcommand", [["first-eigenvalue"], ["sample", "--histogram", "first"]])
+    def test_negative_scale_is_domain_error(self, tmp_path, capsys, subcommand):
+        out = tmp_path / "first.csv"
+        code = run([*subcommand, "--n", 2, "--count", 50, "--cutoff", 0.1, "--scale", -1,
+                    "--out", out, "--summary", tmp_path / "s.json"])
+        assert code == 1
+        assert capsys.readouterr().err.startswith("error: scale")
+        assert not out.exists()
+
     def test_one_level_histogram_mode(self, tmp_path):
         out = tmp_path / "one.csv"
         run(["sample", "--n", 2, "--count", 400, "--seed", 3, "--histogram", "one-level",
@@ -192,6 +201,28 @@ class TestApCountCommand:
         meta = json.loads(summary.read_text(), parse_constant=reject)
         assert meta["a_s_last_decade_increment"] is None
         assert np.isfinite(meta["a_s_value"])
+
+    @pytest.mark.parametrize("p_max", [-5, 0, 1])
+    def test_p_max_below_two_is_domain_error(self, tmp_path, capsys, p_max):
+        out = tmp_path / "ap.csv"
+        code = run(["ap-count", "--config", E11_CFG, "--p-max", p_max, "--out", out, "--summary", tmp_path / "s.json"])
+        assert code == 1
+        assert capsys.readouterr().err.startswith("error:")
+        assert not out.exists()
+
+    def test_counts_each_prime_once(self, tmp_path, monkeypatch):
+        counted = []
+        original = curve_model.count_points_fp
+
+        def counting(weierstrass, p):
+            counted.append(p)
+            return original(weierstrass, p)
+
+        monkeypatch.setattr(curve_model, "count_points_fp", counting)
+        code = run(["ap-count", "--config", E11_CFG, "--p-max", 1000, "--euler-s", -0.5,
+                    "--out", tmp_path / "ap.csv", "--summary", tmp_path / "ap.json"])
+        assert code == 0
+        assert len(counted) == 168 == len(set(counted))
 
 
 class TestCompareCommand:

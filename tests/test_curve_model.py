@@ -5,6 +5,8 @@ import pytest
 
 from excised_ensemble.curve_model import (
     CurveFamilyParams,
+    _count_points_character_sum,
+    _sieve,
     a_s_truncated,
     count_points_double_loop,
     count_points_fp,
@@ -12,9 +14,9 @@ from excised_ensemble.curve_model import (
     cutoff_report,
     cutoff_std,
     delta_from_vanishing_constant,
-    lambda_p,
     n_eff,
     n_std,
+    point_counts,
     read_curve_config,
 )
 from excised_ensemble.errors import DomainError
@@ -22,6 +24,11 @@ from excised_ensemble.errors import DomainError
 E11_WEIERSTRASS = (0, -1, 1, 0, 0)
 # first Dirichlet coefficients of the conductor-11 newform (well-known values)
 E11_AP = {2: -2, 3: -1, 5: 1, 7: -2, 11: 1, 13: 4, 17: -2, 19: 0}
+CURVE37 = (0, 0, 1, -1, 0)  # y^2 + y = x^3 - x, conductor 37
+# Curves for the baby-step giant-step counter: E11 and 37a, and two CM curves,
+# y^2 = x^3 - x and y^2 = x^3 + 1, with a_p = 0 at half the primes and full
+# 2- or 3-torsion, so many points have too small an order to fix a(p).
+BSGS_CURVES = {"E11": E11_WEIERSTRASS, "37a": CURVE37, "x3-x": (0, 0, 0, -1, 0), "x3+1": (0, 0, 0, 0, 1)}
 
 
 def _vanishing_constant(delta):
@@ -132,32 +139,53 @@ class TestPointCounting:
 
     def test_other_curve(self):
         # y^2 + y = x^3 - x (conductor 37): a_2 = -2, a_3 = -3, a_5 = -2, a_7 = -1
-        curve37 = (0, 0, 1, -1, 0)
         for p, ap in [(2, -2), (3, -3), (5, -2), (7, -1)]:
-            assert count_points_fp(curve37, p) == ap
+            assert count_points_fp(CURVE37, p) == ap
 
-    def test_lambda_normalization(self):
-        assert lambda_p(E11_WEIERSTRASS, 13) == pytest.approx(4 / np.sqrt(13))
+    @pytest.mark.parametrize("curve", BSGS_CURVES.values(), ids=BSGS_CURVES.keys())
+    def test_agrees_with_character_sum_up_to_1e4(self, curve):
+        primes = [int(p) for p in _sieve(10_000) if p >= 5]
+        wrong = [p for p in primes if count_points_fp(curve, p) != _count_points_character_sum(curve, p)]
+        assert wrong == []
+
+    def test_bad_primes(self):
+        # multiplicative reduction: the count, singular point included, gives +-1
+        assert count_points_fp(E11_WEIERSTRASS, 11) == 1
+        assert count_points_fp(CURVE37, 37) == count_points_double_loop(CURVE37, 37) == -1
+        # y^2 = x^3 + x + 7 has discriminant -16 * 1327, a prime above the
+        # baby-step giant-step range, where that search would read the
+        # nonsingular group's order p - 1 as a trace of 2
+        assert count_points_fp((0, 0, 0, 1, 7), 1327) == count_points_double_loop((0, 0, 0, 1, 7), 1327) == 1
+
+    def test_large_primes(self):
+        assert count_points_fp(E11_WEIERSTRASS, 999_983) == _count_points_character_sum(E11_WEIERSTRASS, 999_983)
+        # the character sum gives 2992 too, in ~0.9 s and with 10^7-entry arrays
+        assert count_points_fp(E11_WEIERSTRASS, 9_999_991) == 2992
+
+    def test_point_counts_table(self):
+        assert point_counts(E11_WEIERSTRASS, 20, 11) == E11_AP
+        # the conductor's count rides along when it lies above p_max
+        assert point_counts(E11_WEIERSTRASS, 7, 11) == {2: -2, 3: -1, 5: 1, 7: -2, 11: 1}
 
 
 class TestEulerProduct:
     def test_s_zero_is_one(self):
         for p_max in (10, 100, 1000):
-            result = a_s_truncated(E11_WEIERSTRASS, 11, +1, 0.0, p_max)
+            result = a_s_truncated(point_counts(E11_WEIERSTRASS, p_max, 11), 11, +1, 0.0, p_max)
             assert result.value == pytest.approx(1.0, abs=1e-14)
 
     def test_e11_value_moderate_truncation(self):
-        result = a_s_truncated(E11_WEIERSTRASS, 11, +1, -0.5, 10_000)
+        result = a_s_truncated(point_counts(E11_WEIERSTRASS, 10_000, 11), 11, +1, -0.5, 10_000)
         assert result.value == pytest.approx(0.732728078, abs=1e-2)
 
     def test_decade_diagnostics_populated(self):
-        result = a_s_truncated(E11_WEIERSTRASS, 11, +1, -0.5, 1000)
+        result = a_s_truncated(point_counts(E11_WEIERSTRASS, 1000, 11), 11, +1, -0.5, 1000)
         assert 10 in result.decade_values and 100 in result.decade_values
         assert np.isfinite(result.last_decade_increment)
 
     def test_no_decade_increment_below_p_max_100(self):
         # only the decade 10 lies below p_max = 50, so there is nothing to compare with
-        result = a_s_truncated(E11_WEIERSTRASS, 11, +1, -0.5, 50)
+        result = a_s_truncated(point_counts(E11_WEIERSTRASS, 50, 11), 11, +1, -0.5, 50)
         assert result.last_decade_increment is None
         assert np.isfinite(result.value)
 
@@ -165,18 +193,20 @@ class TestEulerProduct:
         # p_max below the conductor: the M-factor must still be present.
         # Swapping the declared conductor changes only the M-factor, so the
         # ratio of the two products isolates it.
-        with_11 = a_s_truncated(E11_WEIERSTRASS, 11, +1, -0.5, 7).value
-        with_13 = a_s_truncated(E11_WEIERSTRASS, 13, +1, -0.5, 7).value
+        with_11 = a_s_truncated(point_counts(E11_WEIERSTRASS, 7, 11), 11, +1, -0.5, 7).value
+        with_13 = a_s_truncated(point_counts(E11_WEIERSTRASS, 7, 13), 13, +1, -0.5, 7).value
 
         def m_factor(m):
-            lam = lambda_p(E11_WEIERSTRASS, m)
+            lam = count_points_fp(E11_WEIERSTRASS, m) / np.sqrt(m)
             return (1 - 1 / m) ** (3 / 8) * (1 - lam / np.sqrt(m)) ** 0.5
 
         assert with_11 / with_13 == pytest.approx(m_factor(11) / m_factor(13), rel=1e-12)
 
     def test_p_max_domain(self):
         with pytest.raises(DomainError):
-            a_s_truncated(E11_WEIERSTRASS, 11, +1, -0.5, 1)
+            a_s_truncated({2: -2, 11: 1}, 11, +1, -0.5, 1)
+        with pytest.raises(DomainError):
+            point_counts(E11_WEIERSTRASS, 1, 11)
 
 
 class TestParamsAndConfig:

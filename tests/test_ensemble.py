@@ -150,6 +150,11 @@ class TestFirstEigenvalue:
         with pytest.raises(DomainError):
             first_eigenvalue_distribution(np.empty((0, 2)), default_bin_edges(10))
 
+    @pytest.mark.parametrize("scale", [0.0, -1.0, np.nan, np.inf])
+    def test_scale_must_be_finite_and_positive(self, scale):
+        with pytest.raises(DomainError, match="scale"):
+            default_bin_edges(10, scale=scale)
+
     def test_two_pass_consistency(self):
         # histogram CDF against an independently computed empirical CDF
         spectra, _ = sample_excised(ExcisionSpec(2, NO_CUT), 20_000, seed=15)
