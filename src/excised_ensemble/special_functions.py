@@ -1,11 +1,9 @@
-"""Complex-capable special functions: log-Gamma, Barnes G, terminating 2F1,
-generalized binomials, and Jacobi polynomials of general (complex) order.
+"""Complex-capable special functions: log-Gamma, Barnes G, and Jacobi
+polynomials of general (complex) order.
 
-Jacobi polynomials come in two independent evaluation routes: a terminating
-hypergeometric series (the default) and the three-term recurrence, which is a
-polynomial identity in the order parameters and therefore valid for arbitrary
-complex alpha, beta.  The recurrence doubles as a fallback where the
-hypergeometric parameter c = alpha + 1 sits near a nonpositive integer.
+Jacobi polynomials are evaluated by one explicit sum (DLMF 18.5.7), which is a
+polynomial in the orders alpha, beta and so holds for any complex values: no
+order needs a separate route, and nothing divides by an order.
 """
 
 from __future__ import annotations
@@ -23,10 +21,7 @@ __all__ = [
     "log_gamma",
     "barnes_g",
     "log_barnes_g",
-    "hyp2f1_terminating",
-    "generalized_binomial",
     "jacobi_p",
-    "jacobi_p_recurrence",
     "jacobi_p_deriv",
 ]
 
@@ -40,9 +35,6 @@ _BARNES_COEFFS = (
     1.0 / 1056.0,   # B10 / (8*10)
 )
 _BARNES_SHIFT = 32.0
-# distance from a nonpositive integer at which the series parameter c = alpha + 1
-# hands Jacobi evaluation over to the recurrence
-_NEAR_POLE_RADIUS = 0.25
 
 
 def log_gamma(z):
@@ -94,40 +86,6 @@ def barnes_g(z: float) -> float:
     return float(np.exp(log_barnes_g(z)))
 
 
-def hyp2f1_terminating(a, b, c, z):
-    """2F1(a, b; c; z) for a a nonpositive integer: the exact finite sum.
-
-    The series terminates after -a + 1 terms; b, c, z may be complex.
-    """
-    a_real = float(np.real(a))
-    if np.imag(a) != 0 or not a_real.is_integer() or a_real > 0:
-        raise DomainError("hyp2f1_terminating requires a to be a nonpositive integer")
-    m = int(-a_real)
-    b = np.asarray(b, dtype=complex)
-    c = np.asarray(c, dtype=complex)
-    z = np.asarray(z, dtype=complex)
-    total = np.ones(np.broadcast(b, c, z).shape, dtype=complex)
-    term = np.ones_like(total)
-    for k in range(m):
-        term = term * (-m + k) * (b + k) / ((c + k) * (k + 1)) * z
-        total = total + term
-    if total.ndim == 0:
-        return complex(total)
-    return total
-
-
-def generalized_binomial(x, n: int):
-    """binom(x, n) = x (x-1) ... (x-n+1) / n!, entire in x."""
-    if n < 0:
-        raise DomainError("generalized_binomial requires n >= 0")
-    x = np.asarray(x, dtype=complex)
-    out = np.ones_like(x)
-    for i in range(n):
-        out = out * (x - i)
-    out = out / factorial(n)
-    return complex(out) if out.ndim == 0 else out
-
-
 @dataclass(frozen=True)
 class JacobiOrder:
     """Degree and (possibly complex) weight exponents of a Jacobi polynomial."""
@@ -141,66 +99,31 @@ class JacobiOrder:
             raise DomainError("Jacobi degree must be nonnegative")
 
 
-def _near_nonpositive_integer(c) -> bool:
-    c = np.asarray(c, dtype=complex)
-    nearest = np.round(c.real)
-    return bool(np.any((nearest <= 0) & (np.abs(c - nearest) < _NEAR_POLE_RADIUS)))
-
-
-def jacobi_p_recurrence(order: JacobiOrder, x):
-    """P_n^(alpha,beta)(x) by the three-term recurrence (valid for complex orders)."""
-    n, a, b = order.n, order.alpha, order.beta
-    a = np.asarray(a, dtype=complex)
-    b = np.asarray(b, dtype=complex)
-    x = np.asarray(x, dtype=complex)
-    shape = np.broadcast(a, b, x).shape
-    p_prev = np.ones(shape, dtype=complex)
-    if n == 0:
-        return complex(p_prev) if p_prev.ndim == 0 else p_prev
-    p = (a + 1) + (a + b + 2) * (x - 1) / 2 + np.zeros(shape, dtype=complex)
-    for m in range(2, n + 1):
-        s = a + b
-        c1 = 2 * m * (m + s) * (2 * m + s - 2)
-        c2 = (2 * m + s - 1) * ((2 * m + s) * (2 * m + s - 2) * x + a * a - b * b)
-        c3 = 2 * (m + a - 1) * (m + b - 1) * (2 * m + s)
-        p_prev, p = p, (c2 * p - c3 * p_prev) / c1
-    return complex(p) if p.ndim == 0 else p
-
-
 def jacobi_p(order: JacobiOrder, x):
-    """P_n^(alpha,beta)(x) via the terminating hypergeometric series.
+    """P_n^(alpha,beta)(x) = sum_s binom(n+alpha, n-s) binom(n+beta, s) y^s w^(n-s)
+    with y = (x-1)/2 and w = (x+1)/2 (DLMF 18.5.7), summed in nested form.
 
-    Falls back to the recurrence when c = alpha + 1 approaches a nonpositive
-    integer, where the series parametrization is singular although the
-    polynomial itself is not.
+    term_s = binom(n+beta, s) y^s / (n-s)! is built up in s, and each step
+    multiplies the running total by (alpha+s) w, so the binomials in alpha are
+    never formed and nothing divides by an order.  y, w and term keep the shape
+    of x (and beta); only the total broadcasts against alpha.
     """
     n, a, b = order.n, order.alpha, order.beta
-    if n == 0:
-        shape = np.broadcast(np.asarray(a), np.asarray(x)).shape
-        return 1.0 + 0.0j if shape == () else np.ones(shape, dtype=complex)
-    if _near_nonpositive_integer(np.asarray(a, dtype=complex) + 1):
-        return jacobi_p_recurrence(order, x)
-    z = (1 - np.asarray(x, dtype=complex)) / 2
-    return generalized_binomial(np.asarray(a, dtype=complex) + n, n) * hyp2f1_terminating(
-        -n, n + a + b + 1, a + 1, z
-    )
+    x = np.asarray(x, dtype=complex)
+    y, w = (x - 1) / 2, (x + 1) / 2
+    term = total = 1.0 / factorial(n)
+    for s in range(1, n + 1):
+        term = term * ((n + b - s + 1) * (n - s + 1) / s) * y
+        total = term + (a + s) * (w * total)
+    # degree 0 never entered the loop; its value still takes the shape of x and the orders
+    total = total + np.zeros(np.broadcast(x, a, b).shape, dtype=complex)
+    return complex(total) if total.ndim == 0 else total
 
 
 def jacobi_p_deriv(order: JacobiOrder, x):
-    """d/dx P_n^(alpha,beta)(x), by the shifted terminating series.
-
-    Uses d/dz 2F1(a,b;c;z) = (ab/c) 2F1(a+1,b+1;c+1;z) applied to the series
-    representation; equivalently (n+alpha+beta+1)/2 * P_(n-1)^(alpha+1,beta+1),
-    which is what the recurrence fallback evaluates.
-    """
+    """d/dx P_n^(alpha,beta)(x) = (n+alpha+beta+1)/2 P_(n-1)^(alpha+1,beta+1)(x)
+    (DLMF 18.9.15)."""
     n, a, b = order.n, order.alpha, order.beta
     if n == 0:
-        shape = np.broadcast(np.asarray(a), np.asarray(x)).shape
-        return 0.0 + 0.0j if shape == () else np.zeros(shape, dtype=complex)
-    a_arr = np.asarray(a, dtype=complex)
-    if _near_nonpositive_integer(a_arr + 1) or _near_nonpositive_integer(a_arr + 2):
-        shifted = JacobiOrder(n - 1, a + 1, b + 1)
-        return (n + a + b + 1) / 2 * jacobi_p_recurrence(shifted, x)
-    z = (1 - np.asarray(x, dtype=complex)) / 2
-    pref = generalized_binomial(a_arr + n, n) * (-n) * (n + a + b + 1) / (a + 1) * (-0.5)
-    return pref * hyp2f1_terminating(-(n - 1), n + a + b + 2, a + 2, z)
+        return 0 * jacobi_p(order, x)
+    return (n + a + b + 1) / 2 * jacobi_p(JacobiOrder(n - 1, a + 1, b + 1), x)

@@ -328,13 +328,26 @@ class TestExcisedDensity:
         assert dg.line_route[10]
         assert dg.values[10] == pytest.approx(r1_excised_line_integral(6, 0.0, thetas[10], c=1.0), rel=1e-8)
 
-    @pytest.mark.xfail(strict=True, reason="jacobi_p_recurrence loses about 6 digits near x = 1 on the residue contours")
     def test_residue_route_matches_line_integral_near_x_one(self):
-        # the residue route reports a tail of 6.6e-10 here yet is off by 6e-5
+        # the residue route reports a tail of 6.6e-10 here; Jacobi values that
+        # lost digits near x = 1 once put it off by 6e-5
         log_cutoff = np.log(0.005424)
         thetas = np.linspace(0, np.pi, 100)
         value = density_grid(12, log_cutoff, thetas).values[5]
         assert value == pytest.approx(r1_excised_line_integral(12, log_cutoff, thetas[5]), rel=1e-6)
+
+    @pytest.mark.parametrize(
+        "n,theta",
+        [(12, t) for t in np.linspace(0, np.pi, 100)[5:11]] + [(16, np.pi)],
+        ids=[f"n12-row{i}" for i in range(5, 11)] + ["n16-pi"],
+    )
+    def test_density_matches_line_integral_at_paper_cutoff(self, n, theta):
+        # Jacobi values that lost digits once put the residue route off by up
+        # to 6.5e-5 on std-n12 benchmark grid rows 5-10 (x near 1), and the
+        # line integral off by 2.4e-3 at N = 16, theta = pi (x = -1)
+        log_cutoff = np.log(0.005424)
+        value = density_grid(n, log_cutoff, [theta]).values[0]
+        assert value == pytest.approx(r1_excised_line_integral(n, log_cutoff, theta, c=1.0), rel=1e-9)
 
     def test_nonnegative_on_grid(self):
         grid = np.linspace(0, np.pi, 301)

@@ -6,6 +6,7 @@ import pytest
 from excised_ensemble.curve_model import (
     CurveFamilyParams,
     _count_points_character_sum,
+    _is_prime,
     _sieve,
     a_s_truncated,
     count_points_double_loop,
@@ -161,6 +162,16 @@ class TestPointCounting:
         assert count_points_fp(E11_WEIERSTRASS, 999_983) == _count_points_character_sum(E11_WEIERSTRASS, 999_983)
         # the character sum gives 2992 too, in ~0.9 s and with 10^7-entry arrays
         assert count_points_fp(E11_WEIERSTRASS, 9_999_991) == 2992
+
+    def test_is_prime_matches_sieve_below_1e5(self):
+        primes = set(_sieve(100_000).tolist())
+        assert [n for n in range(100_000) if _is_prime(n) != (n in primes)] == []
+
+    def test_is_prime_at_pseudoprimes_and_large_primes(self):
+        # 561 is a Carmichael number; 3215031751 is a strong pseudoprime to the
+        # bases 2, 3, 5 and 7
+        assert not _is_prime(561) and not _is_prime(3_215_031_751)
+        assert all(_is_prime(p) for p in (999_983, 9_999_991, 2**61 - 1))
 
     def test_point_counts_table(self):
         assert point_counts(E11_WEIERSTRASS, 20, 11) == E11_AP
