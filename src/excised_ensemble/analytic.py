@@ -3,12 +3,11 @@ sub-ensemble: Selberg integral, normalization constants, moments and the
 small-value cumulative, the diagonal of the Jacobi Christoffel-Darboux kernel,
 and the excised one-level density with its hard gap.
 
-The excised density admits two equivalent representations: a vertical-line
-contour integral and the sum of residues at r = 0 and the negative
-half-integers.  The residue series converges factorially fast in the bulk but
-only algebraically as theta approaches the hard-gap edge, so evaluation
-switches to the (tail-corrected) line quadrature wherever the residue tail
-estimate misses the requested tolerance.
+The excised density is a Bromwich (inverse Mellin) integral through r = c > 0,
+equal to the sum of residues at r = 0 and the negative half-integers.  The
+residue series converges factorially fast in the bulk but only algebraically
+as theta approaches the hard-gap edge, so wherever its tail estimate misses
+the requested tolerance the integral is summed on a parabola instead.
 """
 
 from __future__ import annotations
@@ -53,8 +52,9 @@ _CONTOUR_RADIUS = 0.1
 _CONTOUR_NODES = 128
 _RATIO_TOL = 1e-10
 _EPS = np.finfo(float).eps
-_IBP_LEVELS = 6
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(12)
+_KAPPA0 = 0.15  # curvature of the Bromwich parabola times _leading_power(N)
+_PARABOLA_DECAY = 40.0  # kappa d s^2 at the parabola's end
 
 
 # ---------------------------------------------------------------------------
@@ -138,6 +138,12 @@ def c_so2n(n_pairs: int) -> float:
     return float(value)
 
 
+def _log_moment_gammas(n_pairs: int, s, lead):
+    """lead (2Ns log 2 for `moments_so2n`, added first as it always was) plus the Gamma products of log M_O(N, s)."""
+    return (lead + _log_gamma_run(float(n_pairs), n_pairs) + _log_gamma_run(s + 0.5, n_pairs)
+            - _log_gamma_run(0.5, n_pairs) - _log_gamma_run(s + n_pairs, n_pairs))
+
+
 def moments_so2n(n_pairs: int, s, analytic_continuation: bool = False):
     """Moment generating function M_O(N, s) of the characteristic polynomial at 1.
 
@@ -146,16 +152,11 @@ def moments_so2n(n_pairs: int, s, analytic_continuation: bool = False):
     elsewhere (used for residue extraction around s = -1/2).  An array `s`
     gives a complex array of the same shape.
     """
+    if n_pairs < 1:
+        raise DomainError("n_pairs must be >= 1")
     if not analytic_continuation and np.any(np.real(s) <= -0.5):
         raise DomainError("moments_so2n requires Re(s) > -1/2")
-    total = (
-        2 * n_pairs * s * _LOG2
-        + _log_gamma_run(float(n_pairs), n_pairs)
-        + _log_gamma_run(s + 0.5, n_pairs)
-        - _log_gamma_run(0.5, n_pairs)
-        - _log_gamma_run(s + n_pairs, n_pairs)
-    )
-    value = np.exp(total)
+    value = np.exp(_log_moment_gammas(n_pairs, s, 2 * n_pairs * s * _LOG2))
     if np.ndim(value):
         return value
     return float(np.real(value)) if _is_real(s) else complex(value)
@@ -216,17 +217,16 @@ def _wronskian(n_pairs: int, r, x):
     return dn * pnm1 - pn * dnm1
 
 
-def _kernel_prefactor(n_pairs: int, r):
-    """2^(1-r) Gamma(N+1) Gamma(N+r) / ((2N+r-1) Gamma(N+r-1/2) Gamma(N-1/2)),
-    the r-dependent constant of the Christoffel-Darboux kernel (no domain check)."""
-    lg = log_gamma(n_pairs + 1.0) + log_gamma(n_pairs + r) - log_gamma(n_pairs + r - 0.5) - log_gamma(n_pairs - 0.5)
-    return 2.0 ** (1 - r) / (2 * n_pairs + r - 1) * np.exp(lg)
+def _kernel_log_gammas(n_pairs: int, r):
+    """log[Gamma(N+1) Gamma(N+r) / (Gamma(N+r-1/2) Gamma(N-1/2))], from the kernel's constant."""
+    return log_gamma(n_pairs + 1.0) + log_gamma(n_pairs + r) - log_gamma(n_pairs + r - 0.5) - log_gamma(n_pairs - 0.5)
 
 
 def _kernel_diag(n_pairs: int, r, x):
     """f_N^(r-1/2,-1/2)(theta, theta) at x = cos theta (no domain check)."""
     r = np.asarray(r, dtype=complex)
-    return (1 - x) ** r * _kernel_prefactor(n_pairs, r) * _wronskian(n_pairs, r, x)
+    const = 2.0 ** (1 - r) / (2 * n_pairs + r - 1) * np.exp(_kernel_log_gammas(n_pairs, r))
+    return (1 - x) ** r * const * _wronskian(n_pairs, r, x)
 
 
 def cd_kernel_diag(n_pairs: int, r, theta):
@@ -248,11 +248,14 @@ def cd_kernel_diag(n_pairs: int, r, theta):
 # ---------------------------------------------------------------------------
 
 def excised_integrand(n_pairs: int, log_cutoff: float, theta, r):
-    """Integrand of the vertical-line representation of the excised one-level
+    """Integrand of the Bromwich representation of the excised one-level
     density times the normalization ratio P(log Lambda >= X).
 
     It equals moments_so2n(N, r) f_N^(r-1/2,-1/2)(theta, theta) e^(-rX) / r;
-    its residue at r = 0 is the SO(2N) one-level density.
+    its residue at r = 0 is the SO(2N) one-level density.  Its powers
+    2^(2Nr) 2^(-r) (1 - cos theta)^r e^(-rX) are e^(r d), d = `gap_margin`, so it
+    is built in place as exp(r d + log-Gamma terms) times 2 W / (r (2N+r-1)),
+    W the Wronskian: one exponential, as two can give inf * 0.
     """
     r = np.asarray(r, dtype=complex)
     if np.any(r == 0):
@@ -263,8 +266,12 @@ def excised_integrand(n_pairs: int, log_cutoff: float, theta, r):
     th = np.asarray(theta, dtype=float)
     if np.any(th <= 0) or np.any(th > np.pi):
         raise DomainError("excised_integrand requires theta in (0, pi]")
-    scale = moments_so2n(n_pairs, r, analytic_continuation=True) * np.exp(-r * log_cutoff) / r
-    return scale * _kernel_diag(n_pairs, r, np.cos(th))
+    out = np.asarray(r * gap_margin(n_pairs, log_cutoff, th))
+    out += _log_moment_gammas(n_pairs, r, _kernel_log_gammas(n_pairs, r))
+    np.exp(out, out=out)
+    out *= _wronskian(n_pairs, r, np.cos(th))
+    out *= 2.0 / (r * (2 * n_pairs + r - 1))
+    return out if out.ndim else complex(out)
 
 
 def _contour_residue(func, center: float):
@@ -351,6 +358,8 @@ def normalization_ratio(n_pairs: int, log_cutoff: float, truncation_K: int = 10)
     truncation tail) or the rounding floor, eps times the summed term
     magnitudes, exceeds it.
     """
+    if n_pairs < 1:
+        raise DomainError("n_pairs must be >= 1")
     if log_cutoff >= 2 * n_pairs * _LOG2:
         raise DomainError("cutoff at or above the attainable maximum: ensemble is empty")
     if truncation_K < 1:
@@ -386,7 +395,7 @@ def normalization_ratio(n_pairs: int, log_cutoff: float, truncation_K: int = 10)
 
 
 # ---------------------------------------------------------------------------
-# line quadrature with asymptotic tail completion
+# Bromwich integral on a parabola
 # ---------------------------------------------------------------------------
 
 def _leading_power(n_pairs: int) -> float:
@@ -394,60 +403,43 @@ def _leading_power(n_pairs: int) -> float:
     return n_pairs * n_pairs - 2 * n_pairs + 2 - (n_pairs - 1) / 2.0
 
 
-def _ibp_tail(power: float, t0: float, d: float, c: float) -> complex:
-    """int_T^inf exp(i t d) (c + i t)^(-power) dt by integration by parts."""
-    out = 0.0 + 0.0j
-    coeff = 1.0
-    for j in range(_IBP_LEVELS):
-        out += -coeff * np.exp(1j * t0 * d) * (c + 1j * t0) ** (-(power + j)) / (1j * d)
-        coeff *= (power + j) / d
-    return out
-
-
 def _line_quadrature(n_pairs: int, log_cutoff: float, theta: float, c: float):
-    """(1/2 pi) times the full vertical-line integral of the excised integrand
-    at Re(r) = c, tail-completed with the fitted power-law model.
+    """(1/2 pi i) times the Bromwich integral of the excised integrand (d > 0)
+    on the parabola r = c + is - kappa s^2, kappa = 0.15 / p (Weideman and
+    Trefethen, Math. Comp. 76, 2007), where e^(r d) decays like
+    e^(-kappa d s^2): Gauss-Legendre panels 0.2 wide up to s = 2 and s/10
+    beyond, to kappa d s^2 = 40.  Scaling by 1/p keeps large N, whose Jacobi
+    sums cancel far from the real axis, near the vertical line.  By conjugate
+    symmetry the value is Im(sum w f r') / pi over s > 0.
 
-    Returns (value, tail_error_estimate); both are still to be divided by the
-    normalization ratio.
+    Returns (value, error estimate), both still to be divided by the ratio:
+    the last panel's magnitude, which bounds the remainder, plus the rounding
+    floor, as each term is the exponential of r d and 4(N+1) log-Gamma terms
+    of size up to (|r|+N) log(|r|+2N+1), and errs by eps times their sum.
     """
     d = gap_margin(n_pairs, log_cutoff, theta)
-    if d < 0:
-        return 0.0, 0.0
-    t_upper = min(max(3000.0, 60.0 / max(d, 1e-6)), 2.0e6)
-    cap = np.pi / max(d, 0.2)
+    kappa = _KAPPA0 / _leading_power(n_pairs)
+    s_max = np.sqrt(_PARABOLA_DECAY / (kappa * d))
     edges = [0.0]
-    t = 0.0
-    while t < t_upper:
-        t += min(max(0.2, t / 8.0), cap)
-        edges.append(min(t, t_upper))
-    edges = np.asarray(edges)
-    mid = (edges[:-1] + edges[1:]) / 2.0
-    half = (edges[1:] - edges[:-1]) / 2.0
-    ts = (mid[:, None] + half[:, None] * _GL_NODES[None, :]).ravel()
-    wts = (half[:, None] * _GL_WEIGHTS[None, :]).ravel()
-    main = np.sum(wts * excised_integrand(n_pairs, log_cutoff, theta, c + 1j * ts))
-    # fit g(c+it) exp(-(c+it) d) ~ sum_a C_a (c+it)^-(p+a) near t_upper
-    p = _leading_power(n_pairs)
-    t_fit = np.linspace(0.55 * t_upper, t_upper, 16)
-    u = c + 1j * t_fit
-    rhs = excised_integrand(n_pairs, log_cutoff, theta, u) * np.exp(-u * d)
-    basis = np.stack([u ** (-(p + a)) for a in range(3)], axis=1)
-    coeff, *_ = np.linalg.lstsq(basis, rhs, rcond=None)
-    fit_resid = float(np.max(np.abs(basis @ coeff - rhs)))
-    tail = np.exp(c * d) * sum(coeff[a] * _ibp_tail(p + a, t_upper, d, c) for a in range(3))
-    # the model mismatch integrates against t^-(p+3); bound it crudely by its value at t_upper
-    tail_err = fit_resid * np.exp(c * d) * t_upper / max(d * t_upper, 1.0)
-    value = 2.0 * float(np.real(main + tail)) / (2.0 * np.pi)
-    return value, float(tail_err / (2.0 * np.pi))
+    while edges[-1] < s_max:
+        edges.append(edges[-1] + max(0.2, edges[-1] / 10.0))
+    edges = np.asarray(edges)[:, None]
+    mid, half = (edges[:-1] + edges[1:]) / 2.0, (edges[1:] - edges[:-1]) / 2.0
+    s, wts = (mid + half * _GL_NODES).ravel(), (half * _GL_WEIGHTS).ravel()
+    r = c + 1j * s - kappa * s * s
+    terms = wts * (1j - 2.0 * kappa * s) * excised_integrand(n_pairs, log_cutoff, theta, r)
+    size, mag = np.abs(terms), np.abs(r)
+    exponent_size = mag * d + 4 * (n_pairs + 1) * (mag + n_pairs) * np.log(mag + 2 * n_pairs + 1)
+    error = size[-len(_GL_NODES):].sum() + _EPS * np.sum(size * exponent_size)
+    return float(np.sum(terms).imag / np.pi), float(error / np.pi)
 
 
 def r1_excised_line_integral(n_pairs: int, log_cutoff: float, theta: float, c: float = 0.5, tol: float = 1e-9) -> float:
-    """Excised one-level density by direct quadrature of the vertical-line
-    integral at Re(r) = c: the independent oracle for `density_grid`.
+    """Excised one-level density by direct quadrature of the Bromwich integral
+    along the parabola through c: the oracle for `density_grid`'s residue route.
 
     Inside the hard gap the contour closes to the right and the value is 0.
-    Raises DomainError when the truncation-tail estimate exceeds `tol`.
+    Raises DomainError when the quadrature's error estimate exceeds `tol`.
     """
     if c <= 0:
         raise DomainError("contour abscissa c must be positive")
@@ -459,7 +451,7 @@ def r1_excised_line_integral(n_pairs: int, log_cutoff: float, theta: float, c: f
     ratio = normalization_ratio(n_pairs, log_cutoff, 10).value
     value, tail_err = _line_quadrature(n_pairs, log_cutoff, theta, c)
     if tail_err / ratio > tol:
-        raise DomainError(f"line-integral tail estimate {tail_err / ratio:.2e} exceeds tolerance {tol:.2e}")
+        raise DomainError(f"line-integral error estimate {tail_err / ratio:.2e} exceeds tolerance {tol:.2e}")
     return value / ratio
 
 
@@ -490,7 +482,7 @@ def _residue_sum_grid(n_pairs: int, log_cutoff: float, thetas: np.ndarray, trunc
 class DensityGrid:
     """Excised one-level density on an ascending theta grid.  `tails` holds the
     tail estimate, divided by the ratio like the values, of the route that
-    produced each value (the line quadrature where `line_route` is set);
+    produced each value (the Bromwich parabola where `line_route` is set);
     `ratio` is the normalization the values were divided by."""
 
     thetas: np.ndarray
@@ -512,11 +504,14 @@ def density_grid(n_pairs: int, log_cutoff: float, thetas, truncation_K: int = 10
     """Excised one-level density R_1 on an ascending grid of angles.
 
     Zero on the hard gap (the boundary d = 0 is assigned to the gap).  Where
-    the residue-series tail estimate exceeds `tol` (a strip adjoining the gap
-    edge, where the series converges only algebraically) the value is
-    recomputed through the line-contour representation.  A point whose
-    final tail still exceeds `tol` keeps its value; `tails` shows the miss.
+    the residue-series tail estimate exceeds `tol` (next to the gap edge, and
+    where the residue terms cancel) the value is recomputed on the Bromwich
+    parabola through c = 1/2.  A point whose final tail still exceeds `tol`
+    keeps its value; `tails` shows the miss.  A negative value within its
+    tail of 0 becomes 0; one further below, or NaN, raises DomainError.
     """
+    if truncation_K < 1:
+        raise DomainError("truncation_K must be >= 1")
     thetas = np.atleast_1d(np.asarray(thetas, dtype=float))
     ratio = normalization_ratio(n_pairs, log_cutoff, max(truncation_K, 10))
     norm = ratio.value
@@ -531,6 +526,10 @@ def density_grid(n_pairs: int, log_cutoff: float, thetas, truncation_K: int = 10
     for i in np.nonzero(line_route)[0]:
         value, tail_err = _line_quadrature(n_pairs, log_cutoff, float(thetas[i]), 0.5)
         values[i], tails[i] = value / norm, tail_err / norm
+    below = ~(values >= -tails)
+    if np.any(below):
+        i = np.argmax(below)
+        raise DomainError(f"density {values[i]:.6g} at theta={float(thetas[i])!r} is below -tail = {-tails[i]:.2g}")
     return DensityGrid(thetas, np.maximum(values, 0.0), n_pairs, log_cutoff, tails, line_route, ratio)
 
 

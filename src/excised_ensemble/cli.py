@@ -39,14 +39,19 @@ def _resolve_config_path(value: str) -> str:
 
 
 def _resolve_log_cutoff(args) -> float:
-    """--cutoff-log wins over --cutoff when both are given."""
+    """--cutoff-log wins over --cutoff when both are given.  NaN and -inf are
+    domain errors; +inf is left to the callers, which report an empty ensemble."""
     if getattr(args, "cutoff_log", None) is not None:
-        return float(args.cutoff_log)
-    if getattr(args, "cutoff", None) is not None:
+        log_cutoff = float(args.cutoff_log)
+    elif getattr(args, "cutoff", None) is not None:
         if args.cutoff <= 0:
             raise DomainError("--cutoff must be positive (use --cutoff-log for the log scale)")
-        return float(np.log(args.cutoff))
-    raise DomainError("one of --cutoff or --cutoff-log is required")
+        log_cutoff = float(np.log(args.cutoff))
+    else:
+        raise DomainError("one of --cutoff or --cutoff-log is required")
+    if not log_cutoff > -np.inf:
+        raise DomainError(f"the log cutoff must be a number above -inf, not {log_cutoff}")
+    return log_cutoff
 
 
 def _write_json(payload: dict, path) -> None:

@@ -1,7 +1,10 @@
+import re
+
 import numpy as np
 import pytest
 from scipy.integrate import quad
 
+from excised_ensemble import analytic
 from excised_ensemble.analytic import (
     DensityGrid,
     c_so2n,
@@ -24,6 +27,23 @@ from excised_ensemble.analytic import (
 from excised_ensemble.errors import DomainError
 
 X_TENTH = np.log(0.1)
+
+
+def so4_joint_marginal(log_cutoff, theta):
+    """Exact R_1 of the excised SO(4) ensemble at theta, times P(log Lambda >= X).
+
+    The two eigenphases have density (cos t1 - cos t2)^2 / pi^2 on [0, pi]^2.
+    Given one at theta, log Lambda >= X holds exactly when the other, t, has
+    sin(t/2) >= e^(-d/2), d the gap margin, i.e. t >= phi0 = pi - L with
+    L = 2 asin(sqrt(1 - e^-d)); integrating over t in [phi0, pi] gives
+    (2/pi^2)[a^2 L + 2a sin phi0 + L/2 - sin(2 phi0)/4], a = cos theta.
+    """
+    d = gap_margin(2, log_cutoff, theta)
+    if d <= 0:
+        return 0.0
+    arc = 2 * np.arcsin(np.sqrt(-np.expm1(-d)))
+    phi0, a = np.pi - arc, np.cos(theta)
+    return 2 / np.pi**2 * (a * a * arc + 2 * a * np.sin(phi0) + arc / 2 - np.sin(2 * phi0) / 4)
 
 
 class TestSo2nDensity:
@@ -253,6 +273,11 @@ class TestExcisedIntegrand:
         vals_conj = excised_integrand(2, X_TENTH, 1.0, np.conj(rs))
         assert np.allclose(vals_conj, np.conj(vals), rtol=1e-12)
 
+    def test_scalar_inputs(self):
+        value = excised_integrand(2, X_TENTH, 1.0, 0.5 + 1j)
+        batched = excised_integrand(2, X_TENTH, np.array([1.0]), np.array([0.5 + 1j]))
+        assert value == pytest.approx(batched[0], rel=1e-15)
+
     def test_exponential_growth_rate_along_real_axis(self):
         # |integrand| ~ exp(r d) times a power correction for large real r
         theta = 1.0
@@ -348,6 +373,52 @@ class TestExcisedDensity:
         log_cutoff = np.log(0.005424)
         value = density_grid(n, log_cutoff, [theta]).values[0]
         assert value == pytest.approx(r1_excised_line_integral(n, log_cutoff, theta, c=1.0), rel=1e-9)
+
+    @pytest.mark.parametrize("log_cutoff", [X_TENTH, np.log(0.001466)], ids=["cutoff-0.1", "cutoff-0.001466"])
+    def test_matches_exact_so4_law(self, log_cutoff):
+        # 12 points approaching the gap edge, theta_inf (1 + 10^-k), and 50 bulk
+        # points; the line route was once off by up to 8.6e-4 near the edge
+        edge = theta_inf(2, log_cutoff)
+        near = edge * (1 + 10.0 ** -np.arange(12, 0, -1))
+        thetas = np.concatenate([near, np.linspace(edge, np.pi, 51)[1:]])
+        thetas.sort()
+        ratio, _ = quad(lambda t: so4_joint_marginal(log_cutoff, t), edge, np.pi, epsabs=1e-12, limit=200)
+        exact = np.array([so4_joint_marginal(log_cutoff, t) for t in thetas]) / (ratio / 2)
+        dg = density_grid(2, log_cutoff, thetas)
+        assert dg.line_route[:12].all()
+        np.testing.assert_allclose(dg.values, exact, rtol=0, atol=1e-9)
+
+    def test_negative_beyond_tail_raises(self, monkeypatch):
+        # the line route once returned -1.8e13 near the edge, which was clipped to 0
+        monkeypatch.setattr(analytic, "_line_quadrature", lambda *args: (-1.0, 1e-12))
+        theta = theta_inf(2, X_TENTH) + 0.01
+        with pytest.raises(DomainError, match=re.escape(f"theta={theta!r}")):
+            density_grid(2, X_TENTH, [theta])
+
+    def test_negative_within_tail_is_clipped(self, monkeypatch):
+        monkeypatch.setattr(analytic, "_line_quadrature", lambda *args: (-1e-13, 1e-12))
+        dg = density_grid(2, X_TENTH, [theta_inf(2, X_TENTH) + 0.01])
+        assert dg.line_route[0] and dg.values[0] == 0.0
+
+    @pytest.mark.parametrize("truncation_K", [0, -3])
+    def test_truncation_below_one_raises(self, truncation_K):
+        # the highest "pole" summed was then r = +1.5, where there is none
+        with pytest.raises(DomainError, match="truncation_K must be >= 1"):
+            density_grid(2, X_TENTH, [1.0], truncation_K=truncation_K)
+
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda n: density_grid(n, X_TENTH, [1.0]),
+            lambda n: normalization_ratio(n, X_TENTH),
+            lambda n: moments_so2n(n, 1.0),
+        ],
+        ids=["density_grid", "normalization_ratio", "moments_so2n"],
+    )
+    @pytest.mark.parametrize("n", [0, -2])
+    def test_n_pairs_below_one_raises(self, call, n):
+        with pytest.raises(DomainError, match="n_pairs must be >= 1"):
+            call(n)
 
     def test_nonnegative_on_grid(self):
         grid = np.linspace(0, np.pi, 301)

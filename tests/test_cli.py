@@ -4,7 +4,7 @@ from importlib import resources
 import numpy as np
 import pytest
 
-from excised_ensemble import curve_model, ensemble
+from excised_ensemble import analytic, curve_model, ensemble
 from excised_ensemble.cli import main
 
 E11_CFG = str(resources.files("excised_ensemble.data") / "e11.cfg")
@@ -68,6 +68,68 @@ class TestDensityCommand:
         assert capsys.readouterr().err.startswith("error:")
         assert not out.exists() and not summary.exists()
 
+    @pytest.mark.parametrize("poles", [0, -3])
+    def test_poles_below_one_is_domain_error(self, tmp_path, capsys, poles):
+        # --poles -3 once gave 1.00306618 at theta = pi/7 against 1.00371734
+        out, summary = tmp_path / "density.csv", tmp_path / "s.json"
+        code = run(["density", "--n", 2, "--cutoff", 0.1, "--grid", 8, "--poles", poles,
+                    "--out", out, "--summary", summary])
+        assert code == 1
+        assert "truncation_K must be >= 1" in capsys.readouterr().err
+        assert not out.exists() and not summary.exists()
+
+    @pytest.mark.parametrize("n", [0, -1])
+    def test_n_below_one_is_domain_error(self, tmp_path, capsys, n):
+        out = tmp_path / "density.csv"
+        code = run(["density", "--n", n, "--cutoff", 0.1, "--grid", 8, "--out", out, "--summary", tmp_path / "s.json"])
+        assert code == 1
+        assert "n_pairs must be >= 1" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("cutoff", [["--cutoff", "nan"], ["--cutoff-log", "nan"], ["--cutoff-log=-inf"]])
+    def test_non_finite_cutoff_is_domain_error(self, tmp_path, capsys, cutoff):
+        out = tmp_path / "density.csv"
+        code = run(["density", "--n", 2, *cutoff, "--grid", 8, "--out", out, "--summary", tmp_path / "s.json"])
+        assert code == 1
+        assert "the log cutoff must be a number" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_infinite_cutoff_empties_the_ensemble(self, tmp_path, capsys):
+        out = tmp_path / "density.csv"
+        code = run(["density", "--n", 2, "--cutoff", "inf", "--grid", 8,
+                    "--out", out, "--summary", tmp_path / "s.json"])
+        assert code == 1
+        assert "ensemble is empty" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_row_next_to_the_gap_edge(self, tmp_path):
+        # theta = pi/99 lies 1e-9 above the gap edge in gap margin; the
+        # vertical-line quadrature once gave 236.51 there
+        out = tmp_path / "density.csv"
+        code = run(["density", "--n", 3, "--cutoff-log=-4.128275124679277", "--grid", 100,
+                    "--out", out, "--summary", tmp_path / "s.json"])
+        assert code == 0
+        theta, value = np.loadtxt(out, delimiter=",", skiprows=1)[1]
+        assert theta == pytest.approx(np.pi / 99, rel=1e-15)
+        assert 0 <= value <= 1e-9
+
+    def test_integrand_evaluations_at_n12(self, tmp_path, monkeypatch):
+        # the vertical line took 834100 evaluations here, most of them on
+        # values already below 1e-15
+        evaluated = []
+        original = analytic.excised_integrand
+
+        def counting(*args, **kwargs):
+            out = original(*args, **kwargs)
+            evaluated.append(np.size(out))
+            return out
+
+        monkeypatch.setattr(analytic, "excised_integrand", counting)
+        code = run(["density", "--n", 12, "--cutoff", 0.005424, "--grid", 100,
+                    "--out", tmp_path / "density.csv", "--summary", tmp_path / "s.json"])
+        assert code == 0
+        assert sum(evaluated) <= 150_000
+
     def test_byte_identical_reruns(self, tmp_path):
         paths = [(tmp_path / f"d{i}.csv", tmp_path / f"s{i}.json") for i in (1, 2)]
         for out, summ in paths:
@@ -129,6 +191,20 @@ class TestSampleCommands:
         assert capsys.readouterr().err.startswith("error: scale")
         assert not out.exists()
 
+    @pytest.mark.parametrize("subcommand", [["sample"], ["first-eigenvalue"]])
+    def test_nan_cutoff_is_rejected_before_sampling(self, tmp_path, capsys, monkeypatch, subcommand):
+        # a NaN cutoff once drew 100256 matrices before any error
+        def fail(*args, **kwargs):
+            raise AssertionError("sampled with a NaN cutoff")
+
+        monkeypatch.setattr(ensemble, "sample_excised", fail)
+        out = tmp_path / "h.csv"
+        code = run([*subcommand, "--n", 2, "--count", 10, "--cutoff-log", "nan",
+                    "--out", out, "--summary", tmp_path / "s.json"])
+        assert code == 1
+        assert "the log cutoff must be a number" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_one_level_histogram_mode(self, tmp_path):
         out = tmp_path / "one.csv"
         run(["sample", "--n", 2, "--count", 400, "--seed", 3, "--histogram", "one-level",
@@ -145,6 +221,13 @@ class TestMomentsCommand:
         meta = json.loads(out.read_text())
         assert meta["moment"] == pytest.approx(2.0, rel=1e-12)
         assert meta["h_exact"] == pytest.approx(8 / (3 * np.pi**2), rel=1e-10)
+
+    @pytest.mark.parametrize("n", [0, -1])
+    def test_n_below_one_is_domain_error(self, tmp_path, capsys, n):
+        out = tmp_path / "m.json"
+        assert run(["moments", "--n", n, "--s", 1.0, "--out", out]) == 1
+        assert "n_pairs must be >= 1" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_constant_overflow_is_domain_error(self, tmp_path, capsys):
         out = tmp_path / "m.json"
