@@ -64,30 +64,15 @@ _PARABOLA_DECAY = 40.0  # kappa d s^2 at the parabola's end
 def r1_so2n_unscaled(n_pairs: int, theta):
     """One-level density (2N-1)/(2pi) + sin((2N-1)t)/(2pi sin t) of SO(2N) on [0, pi].
 
-    The Dirichlet-kernel ratio is continued through t = 0 and t = pi with the
-    Chebyshev polynomial U_{2N-2}(cos t), which the ratio equals identically.
+    The Dirichlet-kernel ratio is summed as 1 + 2 sum_{k=1}^{N-1} cos 2kt,
+    which it equals identically, so t = 0 and t = pi need no special case.
     """
     if n_pairs < 1:
         raise DomainError("n_pairs must be >= 1")
     th = np.asarray(theta, dtype=float)
-    scalar = th.ndim == 0
-    th = np.atleast_1d(th)
-    s = np.sin(th)
-    safe = np.abs(s) > 1e-6
-    ratio = np.empty_like(th)
-    ratio[safe] = np.sin((2 * n_pairs - 1) * th[safe]) / s[safe]
-    if np.any(~safe):
-        x = np.cos(th[~safe])
-        u_prev = np.ones_like(x)
-        u = 2.0 * x
-        if n_pairs == 1:
-            u = u_prev
-        else:
-            for _ in range(2 * n_pairs - 3):
-                u_prev, u = u, 2.0 * x * u - u_prev
-        ratio[~safe] = u
+    ratio = 1.0 + 2.0 * np.sum(np.cos(2.0 * np.multiply.outer(th, np.arange(1, n_pairs))), axis=-1)
     out = (2 * n_pairs - 1) / (2 * np.pi) + ratio / (2 * np.pi)
-    return float(out[0]) if scalar else out
+    return float(out) if out.ndim == 0 else out
 
 
 def _is_real(z) -> bool:
@@ -154,8 +139,8 @@ def moments_so2n(n_pairs: int, s, analytic_continuation: bool = False):
     """
     if n_pairs < 1:
         raise DomainError("n_pairs must be >= 1")
-    if not analytic_continuation and np.any(np.real(s) <= -0.5):
-        raise DomainError("moments_so2n requires Re(s) > -1/2")
+    if not analytic_continuation and not np.all(np.isfinite(s) & (np.real(s) > -0.5)):
+        raise DomainError("moments_so2n requires a finite s with Re(s) > -1/2")
     value = np.exp(_log_moment_gammas(n_pairs, s, 2 * n_pairs * s * _LOG2))
     if np.ndim(value):
         return value
@@ -283,19 +268,21 @@ def _contour_residue(func, center: float):
     return np.mean(vals, axis=-1), np.mean(np.abs(vals), axis=-1)
 
 
-def _higher_pole_residues(func, truncation_K: int):
-    """The poles -3/2, ..., -(2K+1)/2, the (residue, summand magnitude) pairs
-    of `func` there from `_contour_residue`, and the magnitude of its residue
-    at the next pole -(2K+3)/2 (the tail estimate).
+def _residue_series(func, truncation_K: int):
+    """Sum of the residues of `func` at -3/2, ..., -(2K+1)/2, the summed
+    magnitudes of their contour summands (eps times which is the sum's
+    rounding floor), and |residue| at -(2K+3)/2, the tail estimate.
 
-    The residues come as a generator, so the caller folds each one in before
-    the next is computed: holding all K of them across the density's
-    (points x nodes) temporaries raised the peak memory of a 2000-point N = 2
-    density by 3.6 MiB in some runs (2-vCPU host, glibc malloc).
+    Each residue is folded in before the next is computed: holding all K
+    across the density's (points x nodes) temporaries raised its peak memory
+    by 3.6 MiB at 2000 points, N = 2, in some runs (2-vCPU host, glibc malloc).
     """
-    poles = [-(2 * k + 1) / 2.0 for k in range(1, truncation_K + 1)]
-    tail = np.abs(_contour_residue(func, -(2 * (truncation_K + 1) + 1) / 2.0)[0])
-    return poles, (_contour_residue(func, pole) for pole in poles), tail
+    total = magnitude = 0.0
+    for k in range(1, truncation_K + 1):
+        res, size = _contour_residue(func, -(2 * k + 1) / 2.0)
+        total, magnitude = total + res, magnitude + size
+    tail = np.abs(_contour_residue(func, -(2 * truncation_K + 3) / 2.0)[0])
+    return total, magnitude, tail
 
 
 def kernel_residue_at_minus_half(n_pairs: int, log_cutoff: float, theta):
@@ -315,37 +302,11 @@ def kernel_residue_at_minus_half(n_pairs: int, log_cutoff: float, theta):
 
 @dataclass(frozen=True)
 class NormalizationResult:
-    """The Haar probability P(log Lambda >= X) as a residue series with its
-    truncation diagnostics.
+    """The Haar probability P(log Lambda >= X), summed as a residue series,
+    and `tail_estimate`, the magnitude of the first residue left out."""
 
-    `coefficients[k]` belongs to the pole `poles[k]`: the r = 0 coefficient is
-    the raw residue, and the half-integer ones carry the exponential factor
-    exp((k+1/2) X) stripped.  `tail_estimate` is the magnitude of the next
-    pole's residue.
-    """
-
-    poles: np.ndarray
-    coefficients: np.ndarray
-    log_cutoff: float
+    value: float
     tail_estimate: float
-
-    @property
-    def value(self) -> float:
-        return float(np.real(np.sum(self.term_values())))
-
-    def term_values(self) -> np.ndarray:
-        # pole -(2k+1)/2 contributes exp((k+1/2) X) = exp(-pole * X)
-        with np.errstate(over="ignore", under="ignore", invalid="ignore"):
-            terms = self.coefficients * np.exp(-self.poles * self.log_cutoff)
-        return np.nan_to_num(terms, nan=0.0, posinf=0.0, neginf=0.0)
-
-    def to_json_dict(self) -> dict:
-        return {
-            "poles": [float(p) for p in self.poles],
-            "coefficients_re": [float(np.real(c)) for c in self.coefficients],
-            "coefficients_im": [float(np.imag(c)) for c in self.coefficients],
-            "K": len(self.poles) - 2,
-        }
 
 
 def normalization_ratio(n_pairs: int, log_cutoff: float, truncation_K: int = 10) -> NormalizationResult:
@@ -368,24 +329,15 @@ def normalization_ratio(n_pairs: int, log_cutoff: float, truncation_K: int = 10)
     def integrand(z):
         return moments_so2n(n_pairs, z, analytic_continuation=True) * np.exp(-z * log_cutoff) / z
 
-    poles, residues, tail = _higher_pole_residues(integrand, truncation_K)
-    # half-integer coefficients are stored with the factor exp((k+1/2) X) stripped;
-    # the residue at -1/2 is -2 e^(X/2) h(N)
-    h = h_exact(n_pairs)
-    coeffs = [1.0 + 0.0j, complex(-2.0 * h)]
-    magnitude = 1.0 + 2.0 * h * np.exp(0.5 * log_cutoff)
-    for pole, (res, size) in zip(poles, residues):
-        with np.errstate(over="ignore", under="ignore", invalid="ignore"):
-            coeff = complex(res * np.exp(pole * log_cutoff))
-        coeffs.append(coeff if np.isfinite(coeff) else 0.0 + 0.0j)
-        magnitude += size
-    result = NormalizationResult(np.asarray([0.0, -0.5] + poles), np.asarray(coeffs), log_cutoff, float(tail))
+    minus_half = -2.0 * h_exact(n_pairs) * np.exp(0.5 * log_cutoff)
+    higher, magnitude, tail = _residue_series(integrand, truncation_K)
+    result = NormalizationResult(float(np.real(1.0 + minus_half + higher)), float(tail))
     if not 0.0 < result.value <= 1.0:
         raise DomainError(
             f"normalization ratio {result.value:.6g} at N={n_pairs}, X={log_cutoff:g} lies outside (0, 1]: "
             "the residue series is summed outside the range where it converges"
         )
-    floor = _EPS * magnitude
+    floor = _EPS * (1.0 + abs(minus_half) + magnitude)
     if tail > _RATIO_TOL or floor > _RATIO_TOL:
         raise DomainError(
             f"normalization ratio {result.value:.6g} at N={n_pairs}, X={log_cutoff:g} is not certified: "
@@ -468,14 +420,10 @@ def _residue_sum_grid(n_pairs: int, log_cutoff: float, thetas: np.ndarray, trunc
     """
     leading = r1_so2n_unscaled(n_pairs, thetas)
     minus_half = kernel_residue_at_minus_half(n_pairs, log_cutoff, thetas)
-    total = leading + minus_half
-    magnitude = np.abs(leading) + np.abs(minus_half)
     th_col = thetas[:, None]
-    _, residues, tail = _higher_pole_residues(lambda z: excised_integrand(n_pairs, log_cutoff, th_col, z), truncation_K)
-    for res, size in residues:
-        total = total + np.real(res)
-        magnitude = magnitude + size
-    return total, tail + _EPS * magnitude
+    higher, magnitude, tail = _residue_series(lambda z: excised_integrand(n_pairs, log_cutoff, th_col, z), truncation_K)
+    total = leading + minus_half + np.real(higher)
+    return total, tail + _EPS * (np.abs(leading) + np.abs(minus_half) + magnitude)
 
 
 @dataclass(frozen=True)

@@ -123,7 +123,7 @@ def _cmd_density(args) -> int:
     if args.grid < 1:
         raise DomainError("--grid must be >= 1")
     thetas = np.linspace(0.0, np.pi, args.grid)
-    grid = analytic.density_grid(args.n, log_cutoff, thetas, truncation_K=args.poles)
+    grid = analytic.density_grid(args.n, log_cutoff, thetas)
     analytic.write_density_csv(grid, args.out)
     ratio = grid.ratio
     payload = _run_summary(
@@ -131,7 +131,6 @@ def _cmd_density(args) -> int:
         theta_inf=analytic.theta_inf(args.n, log_cutoff),
         normalization_ratio=ratio.value,
         ratio_tail_estimate=ratio.tail_estimate,
-        normalization_series=ratio.to_json_dict(),
         line_route_points=int(np.count_nonzero(grid.line_route)),
         max_tail=float(grid.tails.max(initial=0.0)),
     )
@@ -232,7 +231,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--cutoff", type=float)
     p.add_argument("--cutoff-log", type=float)
     p.add_argument("--grid", type=int, default=500, help="number of grid points on [0, pi]")
-    p.add_argument("--poles", type=int, default=10, help="residue-series truncation")
     p.add_argument("--out", default="density.csv")
     p.add_argument("--summary", default="density_summary.json")
     p.set_defaults(func=_cmd_density)

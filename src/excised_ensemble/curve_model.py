@@ -155,10 +155,17 @@ class CutoffReport:
 
 
 def n_std(conductor_M: int, x_bound: float) -> float:
-    """Standard matrix size log(sqrt(M) X / 2 pi) matching mean densities."""
-    if conductor_M < 1 or x_bound <= 0:
-        raise DomainError("need conductor >= 1 and X > 0")
-    return float(np.log(np.sqrt(conductor_M) * x_bound / (2.0 * np.pi)))
+    """Standard matrix size log(sqrt(M) X / 2 pi) matching mean densities.
+
+    Raises DomainError unless M >= 1, X > 0 and the size is a finite float
+    (X = inf, and X near the ends of the float range, give +-inf)."""
+    if conductor_M < 1 or not x_bound > 0:
+        raise DomainError(f"need conductor >= 1 and X > 0, not M = {conductor_M}, X = {x_bound}")
+    with np.errstate(over="ignore", divide="ignore"):
+        value = float(np.log(np.sqrt(conductor_M) * x_bound / (2.0 * np.pi)))
+    if not np.isfinite(value):
+        raise DomainError(f"N_std = log(sqrt(M) X / 2 pi) is {value} at M = {conductor_M}, X = {x_bound}")
+    return value
 
 
 def n_eff(n_std_value: float, r1: float) -> float:
@@ -405,6 +412,8 @@ def a_s_truncated(a_p: dict, conductor_M: int, omega: int, s: float, p_max: int)
     as a convergence diagnostic; it is None for p_max < 100, where there is no
     earlier decade to compare with.
     """
+    if not np.isfinite(s):
+        raise DomainError(f"a_s(E) needs a finite s, not {s}")
     primes = _euler_primes(p_max, conductor_M)
     log_total = 0.0
     decade_values = {}

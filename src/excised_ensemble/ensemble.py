@@ -166,8 +166,9 @@ def sample_excised(spec: ExcisionSpec, count: int, seed, workers: int = 1):
     """
     if count < 1:
         raise DomainError("count must be >= 1")
+    if workers < 1:
+        raise DomainError(f"workers must be >= 1, not {workers}")
     seq = seed if isinstance(seed, np.random.SeedSequence) else np.random.SeedSequence(seed)
-    workers = max(1, int(workers))
     shares = [count // workers + (1 if i < count % workers else 0) for i in range(workers)]
     rngs = [np.random.default_rng(s) for s in seq.spawn(workers)]
     with ThreadPoolExecutor(max_workers=workers) as pool:

@@ -19,8 +19,7 @@ class TestDensityCommand:
         out = tmp_path / "density.csv"
         summary = tmp_path / "s.json"
         code = run(
-            ["density", "--n", 2, "--cutoff", 0.1, "--grid", 40, "--poles", 6,
-             "--out", out, "--summary", summary]
+            ["density", "--n", 2, "--cutoff", 0.1, "--grid", 40, "--out", out, "--summary", summary]
         )
         assert code == 0
         lines = out.read_text().split("\n")
@@ -29,8 +28,6 @@ class TestDensityCommand:
         meta = json.loads(summary.read_text())
         assert meta["theta_inf"] == pytest.approx(np.arccos(1 - 0.1 / 8))
         assert 0 < meta["normalization_ratio"] <= 1
-        # --poles 6 sums 6 density poles; the ratio is never cut below 10
-        assert meta["normalization_series"]["K"] == 10
         assert isinstance(meta["line_route_points"], int) and meta["line_route_points"] >= 1
         assert 0 <= meta["max_tail"] <= 1e-9
 
@@ -66,16 +63,6 @@ class TestDensityCommand:
         code = run(["density", "--n", 2, "--cutoff", 0.1, "--grid", grid, "--out", out, "--summary", summary])
         assert code == 1
         assert capsys.readouterr().err.startswith("error:")
-        assert not out.exists() and not summary.exists()
-
-    @pytest.mark.parametrize("poles", [0, -3])
-    def test_poles_below_one_is_domain_error(self, tmp_path, capsys, poles):
-        # --poles -3 once gave 1.00306618 at theta = pi/7 against 1.00371734
-        out, summary = tmp_path / "density.csv", tmp_path / "s.json"
-        code = run(["density", "--n", 2, "--cutoff", 0.1, "--grid", 8, "--poles", poles,
-                    "--out", out, "--summary", summary])
-        assert code == 1
-        assert "truncation_K must be >= 1" in capsys.readouterr().err
         assert not out.exists() and not summary.exists()
 
     @pytest.mark.parametrize("n", [0, -1])
@@ -213,6 +200,17 @@ class TestSampleCommands:
         integral = sum((float(r) - float(l)) * float(v) for l, r, v in rows)
         assert integral == pytest.approx(2.0, abs=1e-9)
 
+    @pytest.mark.parametrize("workers", [0, -3])
+    @pytest.mark.parametrize("subcommand", [["sample"], ["first-eigenvalue"]])
+    def test_workers_below_one_is_domain_error(self, tmp_path, capsys, subcommand, workers):
+        # these once ran silently on one worker
+        out, summary = tmp_path / "h.csv", tmp_path / "s.json"
+        code = run([*subcommand, "--n", 2, "--count", 10, "--cutoff", 0.1, "--workers", workers,
+                    "--out", out, "--summary", summary])
+        assert code == 1
+        assert "workers must be >= 1" in capsys.readouterr().err
+        assert not out.exists() and not summary.exists()
+
 
 class TestMomentsCommand:
     def test_values(self, tmp_path):
@@ -235,6 +233,14 @@ class TestMomentsCommand:
         assert "error:" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("s", ["nan", "inf"])
+    def test_non_finite_s_is_domain_error(self, tmp_path, capsys, s):
+        # these once wrote "moment": NaN, which strict JSON rejects
+        out = tmp_path / "m.json"
+        assert run(["moments", "--n", 2, "--s", s, "--out", out]) == 1
+        assert "requires a finite s" in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestCutoffCommand:
     def test_e11_values(self, tmp_path):
@@ -255,6 +261,14 @@ class TestCutoffCommand:
     def test_matrix_size_below_one_is_domain_error(self, tmp_path):
         out = tmp_path / "cut.json"
         assert run(["cutoff", "--config", E11_CFG, "--x", 1, "--out", out]) == 1
+        assert not out.exists()
+
+    @pytest.mark.parametrize("x", ["nan", "inf", "1e308", "5e-324"])
+    def test_x_without_a_finite_matrix_size_is_domain_error(self, tmp_path, capsys, x):
+        # these once died in int(round(N_std)) with a traceback
+        out = tmp_path / "cut.json"
+        assert run(["cutoff", "--config", E11_CFG, "--x", x, "--out", out]) == 1
+        assert capsys.readouterr().err.startswith("error:")
         assert not out.exists()
 
 
@@ -284,6 +298,16 @@ class TestApCountCommand:
         meta = json.loads(summary.read_text(), parse_constant=reject)
         assert meta["a_s_last_decade_increment"] is None
         assert np.isfinite(meta["a_s_value"])
+
+    @pytest.mark.parametrize("s", ["nan", "inf"])
+    def test_non_finite_euler_s_is_domain_error(self, tmp_path, capsys, s):
+        # these once wrote "a_s_value": NaN
+        summary = tmp_path / "ap.json"
+        code = run(["ap-count", "--config", E11_CFG, "--p-max", 50, "--euler-s", s,
+                    "--out", tmp_path / "ap.csv", "--summary", summary])
+        assert code == 1
+        assert "needs a finite s" in capsys.readouterr().err
+        assert not summary.exists()
 
     @pytest.mark.parametrize("p_max", [-5, 0, 1])
     def test_p_max_below_two_is_domain_error(self, tmp_path, capsys, p_max):
