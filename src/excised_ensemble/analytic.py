@@ -135,16 +135,22 @@ def moments_so2n(n_pairs: int, s, analytic_continuation: bool = False):
     The defining Haar integral converges only for Re(s) > -1/2; pass
     analytic_continuation=True to evaluate the meromorphic product formula
     elsewhere (used for residue extraction around s = -1/2).  An array `s`
-    gives a complex array of the same shape.
+    gives a complex array of the same shape.  A real `s` whose moment
+    overflows a float raises DomainError, unless continuing analytically.
     """
     if n_pairs < 1:
         raise DomainError("n_pairs must be >= 1")
     if not analytic_continuation and not np.all(np.isfinite(s) & (np.real(s) > -0.5)):
         raise DomainError("moments_so2n requires a finite s with Re(s) > -1/2")
-    value = np.exp(_log_moment_gammas(n_pairs, s, 2 * n_pairs * s * _LOG2))
+    with np.errstate(over="ignore", invalid="ignore"):
+        value = np.exp(_log_moment_gammas(n_pairs, s, 2 * n_pairs * s * _LOG2))
     if np.ndim(value):
         return value
-    return float(np.real(value)) if _is_real(s) else complex(value)
+    if not _is_real(s):
+        return complex(value)
+    if not (analytic_continuation or np.isfinite(value)):
+        raise DomainError(f"moments_so2n({n_pairs}, {s}) overflows a float")
+    return float(np.real(value))
 
 
 def h_exact(n_pairs: int) -> float:

@@ -89,16 +89,16 @@ def _sampling_spec(args) -> ensemble.ExcisionSpec:
 
 def _cmd_sample(args) -> int:
     spec = _sampling_spec(args)
-    spectra, summary = ensemble.sample_excised(
-        spec, args.count, args.seed, workers=args.workers
-    )
+    first = args.histogram == "first"
     if args.histogram != "none":
-        if args.histogram == "first":
-            edges = ensemble.default_bin_edges(args.bins, scale=args.scale)
+        # edges are checked before sampling; one-level densities bin raw phases on [0, pi]
+        edges = ensemble.default_bin_edges(args.bins, scale=args.scale if first else 1.0)
+    spectra, summary = ensemble.sample_excised(spec, args.count, args.seed, workers=args.workers)
+    if args.histogram != "none":
+        if first:
             hist = ensemble.first_eigenvalue_distribution(spectra, edges, scale=args.scale)
         else:
-            # one-level densities bin raw phases on [0, pi]
-            hist = ensemble.empirical_one_level_density(spectra, ensemble.default_bin_edges(args.bins))
+            hist = ensemble.empirical_one_level_density(spectra, edges)
         ensemble.write_histogram_csv(hist, args.out)
     if args.dump_spectra:
         write_spectra_csv(args.dump_spectra, spectra)
@@ -109,8 +109,8 @@ def _cmd_sample(args) -> int:
 
 def _cmd_first_eigenvalue(args) -> int:
     spec = _sampling_spec(args)
-    spectra, summary = ensemble.sample_excised(spec, args.count, args.seed, workers=args.workers)
     edges = ensemble.default_bin_edges(args.bins, scale=args.scale)
+    spectra, summary = ensemble.sample_excised(spec, args.count, args.seed, workers=args.workers)
     hist = ensemble.first_eigenvalue_distribution(spectra, edges, scale=args.scale)
     ensemble.write_histogram_csv(hist, args.out)
     payload = _run_summary(args, **ensemble.summary_json_dict(summary, spec, args.seed))
@@ -182,6 +182,8 @@ def _cmd_ap_count(args) -> int:
 
 def _load_histogram(path, kind: str, bins: int) -> ensemble.Histogram:
     """A parse failure is a domain error naming the file."""
+    if kind == "samples" and bins < 1:
+        raise DomainError(f"--bins must be >= 1 for a samples input, not {bins}")
     try:
         if kind == "hist":
             return ensemble.read_histogram_csv(path)

@@ -104,6 +104,8 @@ class Histogram:
 
 def default_bin_edges(n_bins: int = 100, scale: float = 1.0) -> np.ndarray:
     """Default binning: `n_bins` equal bins over [0, pi * scale]."""
+    if n_bins < 1:
+        raise DomainError(f"the number of bins must be >= 1, not {n_bins}")
     if not (np.isfinite(scale) and scale > 0):
         raise DomainError(f"scale must be finite and positive, got {scale}")
     return np.linspace(0.0, np.pi * scale, n_bins + 1)
@@ -122,34 +124,22 @@ def _sample_excised_single(spec: ExcisionSpec, count: int, rng):
     accepted = []
     n_accepted = 0
     total = 0
-    rate_guess = 1.0
     while n_accepted < count:
         need = count - n_accepted
-        batch = int(min(_BATCH_SIZE, max(np.ceil(1.1 * need / rate_guess), 256)))
-        mats = sample_so2n_batch(spec.n_pairs, batch, rng)
-        phases = eigenphases_batch(mats)
-        keep = log_char_poly_batch(phases) >= spec.log_cutoff
-        hits = np.nonzero(keep)[0]
-        if len(hits) >= need:
-            # stop at the draw yielding the final acceptance, so the reported
-            # acceptance rate is a sequential estimate
-            last = hits[need - 1]
-            total += int(last) + 1
-            accepted.append(phases[hits[:need]])
-            n_accepted += need
-            break
-        total += batch
-        if len(hits):
-            accepted.append(phases[hits])
-            n_accepted += len(hits)
-        rate_guess = max(n_accepted / total, _MIN_ACCEPTANCE, 1e-9)
+        rate = max(n_accepted / total, _MIN_ACCEPTANCE) if total else 1.0
+        batch = int(min(_BATCH_SIZE, max(np.ceil(1.1 * need / rate), 256)))
+        phases = eigenphases_batch(sample_so2n_batch(spec.n_pairs, batch, rng))
+        hits = np.nonzero(log_char_poly_batch(phases) >= spec.log_cutoff)[0][:need]
+        accepted.append(phases[hits])
+        n_accepted += len(hits)
+        # the final batch counts draws up to its last hit only: a sequential rate estimate
+        total += int(hits[-1]) + 1 if n_accepted == count else batch
         if total >= _ACCEPTANCE_PROBE and n_accepted / total < _MIN_ACCEPTANCE:
             raise DomainError(
                 f"projected acceptance rate {n_accepted / total:.2e} below floor {_MIN_ACCEPTANCE:.0e} "
                 f"after {total} draws (N={spec.n_pairs}, log_cutoff={spec.log_cutoff:g})"
             )
-    spectra = np.concatenate(accepted, axis=0)
-    return spectra, total
+    return np.concatenate(accepted, axis=0), total
 
 
 def sample_excised(spec: ExcisionSpec, count: int, seed, workers: int = 1):

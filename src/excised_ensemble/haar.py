@@ -2,9 +2,10 @@
 characteristic polynomial evaluated at the symmetry point.
 
 Sampling uses the QR decomposition of an i.i.d. standard Gaussian matrix with
-the R-diagonal sign correction, which is Haar on O(2N); matrices landing in
-the det = -1 coset are translated into SO(2N) by flipping the last column
-(right multiplication by a fixed reflection preserves Haar invariance).
+the R-diagonal sign correction, which is Haar on O(2N) (Mezzadri 2007);
+matrices landing in the det = -1 coset are translated into SO(2N) by flipping
+the last column (right multiplication by a fixed reflection preserves Haar
+invariance).  The eigenphases come from one real symmetric eigen-solve.
 """
 
 from __future__ import annotations
@@ -23,8 +24,6 @@ __all__ = [
     "write_spectra_csv",
 ]
 
-_PHASE_CLAMP = 1e-12
-
 
 def sample_so2n_batch(n_pairs: int, count: int, rng: np.random.Generator) -> np.ndarray:
     """Stack of `count` Haar SO(2N) matrices, shape (count, 2N, 2N)."""
@@ -41,18 +40,14 @@ def sample_so2n_batch(n_pairs: int, count: int, rng: np.random.Generator) -> np.
 
 
 def eigenphases_batch(matrices: np.ndarray) -> np.ndarray:
-    """Eigenphases of a stack of SO(2N) matrices, shape (count, N), each row sorted.
+    """Eigenphases of a stack of SO(2N) matrices, shape (count, N), each row ascending.
 
-    Phases within 1e-12 of 0 or pi are clamped exactly, so that eigenvalues at
-    +-1 do not leak numerical noise into the hard-gap statistics.
+    The eigenvalues pair as e^(+-i theta_j), so (A + A^T)/2 has the eigenvalues
+    cos theta_j, each twice; one of each pair in descending order gives the
+    phases in ascending order.  Clipping to [-1, 1] maps +-1 exactly to 0, pi.
     """
-    eigvals = np.linalg.eigvals(matrices)
-    angles = np.abs(np.angle(eigvals))
-    angles.sort(axis=-1)
-    phases = angles[..., ::2].copy()
-    phases[phases < _PHASE_CLAMP] = 0.0
-    phases[phases > np.pi - _PHASE_CLAMP] = np.pi
-    return phases
+    cosines = np.linalg.eigvalsh(matrices + np.swapaxes(matrices, -1, -2))[..., ::-2] / 2
+    return np.arccos(np.clip(cosines, -1.0, 1.0))
 
 
 def log_char_poly_batch(phases: np.ndarray) -> np.ndarray:

@@ -211,6 +211,23 @@ class TestSampleCommands:
         assert "workers must be >= 1" in capsys.readouterr().err
         assert not out.exists() and not summary.exists()
 
+    @pytest.mark.parametrize("bins", [0, -3])
+    @pytest.mark.parametrize(
+        "subcommand", [["sample"], ["sample", "--histogram", "one-level"], ["first-eigenvalue"]]
+    )
+    def test_bins_below_one_is_rejected_before_sampling(self, tmp_path, capsys, monkeypatch, subcommand, bins):
+        # these once drew every spectrum before failing, or died with a traceback
+        def fail(*args, **kwargs):
+            raise AssertionError("sampled with an empty binning")
+
+        monkeypatch.setattr(ensemble, "sample_excised", fail)
+        out, summary = tmp_path / "h.csv", tmp_path / "s.json"
+        code = run([*subcommand, "--n", 2, "--count", 10, "--cutoff", 0.1, "--bins", bins,
+                    "--out", out, "--summary", summary])
+        assert code == 1
+        assert capsys.readouterr().err.startswith("error:")
+        assert not out.exists() and not summary.exists()
+
 
 class TestMomentsCommand:
     def test_values(self, tmp_path):
@@ -239,6 +256,14 @@ class TestMomentsCommand:
         out = tmp_path / "m.json"
         assert run(["moments", "--n", 2, "--s", s, "--out", out]) == 1
         assert "requires a finite s" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_moment_overflow_is_domain_error(self, tmp_path, capsys):
+        # this once wrote "moment": Infinity, which strict JSON rejects
+        out = tmp_path / "m.json"
+        assert run(["moments", "--n", 2, "--s", 1000, "--out", out]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "moments_so2n(2, 1000.0)" in err
         assert not out.exists()
 
 
@@ -394,6 +419,17 @@ class TestCompareCommand:
             code = run(["compare", "--a", hist_path, "--b", samples, "--b-kind", "samples", "--out", out])
         assert code == 1
         assert "error:" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("bins", [0, -3])
+    def test_samples_bins_below_one_is_domain_error(self, tmp_path, capsys, bins):
+        samples = tmp_path / "zeros.csv"
+        np.savetxt(samples, np.random.default_rng(0).uniform(0.2, 1.4, size=50))
+        out = tmp_path / "cmp.json"
+        code = run(["compare", "--a", samples, "--a-kind", "samples", "--b", samples, "--b-kind", "samples",
+                    "--bins", bins, "--out", out])
+        assert code == 1
+        assert capsys.readouterr().err.startswith("error:")
         assert not out.exists()
 
     def test_summary_json_as_histogram_is_domain_error(self, tmp_path, capsys):

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from scipy.stats import ks_2samp
 
+from excised_ensemble import ensemble as ensemble_module
 from excised_ensemble.analytic import theta_inf
 from excised_ensemble.ensemble import (
     ExcisionSpec,
@@ -67,6 +68,20 @@ class TestSampleExcised:
         b, _ = sample_excised(ExcisionSpec(2, X_TENTH), 3000, seed=5, workers=3)
         assert np.array_equal(a, b)
         assert len(a) == 3000
+
+    @pytest.mark.parametrize(
+        "n_pairs, log_cutoff, count, workers",
+        [(2, X_TENTH, 2000, 1), (12, np.log(0.005424), 1000, 2)],
+    )
+    def test_batch_split_does_not_change_the_draws(self, monkeypatch, n_pairs, log_cutoff, count, workers):
+        # the accept loop relies on draws not depending on how they are split into batches
+        spec = ExcisionSpec(n_pairs, log_cutoff)
+        a, sa = sample_excised(spec, count, seed=19, workers=workers)
+        monkeypatch.setattr(ensemble_module, "_BATCH_SIZE", 257)
+        b, sb = sample_excised(spec, count, seed=19, workers=workers)
+        assert np.array_equal(a, b)
+        assert sa == sb
+        assert sa.total_drawn > 257 * workers
 
     def test_raising_cutoff_never_accepts_more(self):
         # acceptance is a threshold on a per-matrix scalar
@@ -154,6 +169,11 @@ class TestFirstEigenvalue:
     def test_scale_must_be_finite_and_positive(self, scale):
         with pytest.raises(DomainError, match="scale"):
             default_bin_edges(10, scale=scale)
+
+    @pytest.mark.parametrize("n_bins", [0, -3])
+    def test_bins_below_one_rejected(self, n_bins):
+        with pytest.raises(DomainError, match="bins must be >= 1"):
+            default_bin_edges(n_bins)
 
     def test_two_pass_consistency(self):
         # histogram CDF against an independently computed empirical CDF

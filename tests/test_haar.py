@@ -92,6 +92,13 @@ class TestEigenphases:
         phases = phases_of(block_diag(rotation_block(np.pi), rotation_block(0.5)))
         assert phases[-1] == np.pi
 
+    @pytest.mark.parametrize("n_pairs", [2, 12])
+    def test_matches_general_eigensolver_in_bulk(self, n_pairs):
+        mats = sample_so2n_batch(n_pairs, 2000, np.random.default_rng(40 + n_pairs))
+        # oracle: the upper-half-plane angles of the general complex eigenvalues
+        oracle = np.sort(np.abs(np.angle(np.linalg.eigvals(mats))), axis=-1)[:, ::2]
+        assert np.max(np.abs(eigenphases_batch(mats) - oracle)) < 1e-9
+
 
 class TestLogCharPoly:
     def test_single_pair_at_pi(self):
