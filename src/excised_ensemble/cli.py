@@ -81,7 +81,7 @@ def _add_sampling_flags(parser):
 
 def _sampling_spec(args) -> ensemble.ExcisionSpec:
     if args.cutoff_log is None and args.cutoff is None:
-        log_cutoff = -1e9  # no excision: every spectrum without a phase at exactly 0 is accepted
+        log_cutoff = -1e9  # no excision: every spectrum is accepted
     else:
         log_cutoff = _resolve_log_cutoff(args)
     return ensemble.ExcisionSpec(n_pairs=args.n, log_cutoff=log_cutoff)
@@ -188,10 +188,12 @@ def _load_histogram(path, kind: str, bins: int) -> ensemble.Histogram:
         if kind == "hist":
             return ensemble.read_histogram_csv(path)
         values = np.loadtxt(path, ndmin=1)
-    except (KeyError, ValueError) as exc:
+    except (KeyError, ValueError, DomainError) as exc:
         raise DomainError(f"{path} is not a {kind} file: {exc!r}") from exc
     if values.size == 0:
         raise DomainError(f"no samples in {path}")
+    if not np.all(np.isfinite(values)):
+        raise DomainError(f"{path} holds a non-finite sample")
     edges = np.linspace(float(values.min()), float(values.max()), bins + 1)
     counts, _ = np.histogram(values, bins=edges)
     return ensemble.Histogram(edges, counts)

@@ -12,7 +12,15 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError
-from .haar import eigenphases_batch, log_char_poly_batch, max_log_char_poly, sample_so2n_batch
+from .haar import (
+    beta_log_char_poly_batch,
+    jacobi_eigenphases_batch,
+    jacobi_matrix_batch,
+    max_log_char_poly,
+    sample_beta_batch,
+)
+# the benchmark's traced runs wrap these three names here (ROADMAP item 6)
+from .haar import eigenphases_batch, log_char_poly_batch, sample_so2n_batch  # noqa: F401
 
 __all__ = [
     "ExcisionSpec",
@@ -43,6 +51,8 @@ class ExcisionSpec:
     def __post_init__(self):
         if self.n_pairs < 1:
             raise DomainError("n_pairs must be >= 1")
+        if np.isnan(self.log_cutoff):
+            raise DomainError("log_cutoff must be a number, not nan")
         if self.log_cutoff >= max_log_char_poly(self.n_pairs):
             raise DomainError("log_cutoff >= 2N log 2: the excised ensemble is empty")
 
@@ -71,6 +81,8 @@ class Histogram:
     def __post_init__(self):
         if len(self.counts) != len(self.bin_edges) - 1:
             raise DomainError("need len(counts) == len(bin_edges) - 1")
+        if not (np.all(np.isfinite(self.bin_edges)) and np.all(np.isfinite(self.counts))):
+            raise DomainError("bin edges and counts must be finite")
         if np.any(np.diff(self.bin_edges) <= 0):
             raise DomainError("bin edges must be strictly ascending")
         if np.any(self.counts < 0):
@@ -128,9 +140,9 @@ def _sample_excised_single(spec: ExcisionSpec, count: int, rng):
         need = count - n_accepted
         rate = max(n_accepted / total, _MIN_ACCEPTANCE) if total else 1.0
         batch = int(min(_BATCH_SIZE, max(np.ceil(1.1 * need / rate), 256)))
-        phases = eigenphases_batch(sample_so2n_batch(spec.n_pairs, batch, rng))
-        hits = np.nonzero(log_char_poly_batch(phases) >= spec.log_cutoff)[0][:need]
-        accepted.append(phases[hits])
+        betas = sample_beta_batch(spec.n_pairs, batch, rng)
+        hits = np.nonzero(beta_log_char_poly_batch(betas) >= spec.log_cutoff)[0][:need]
+        accepted.append(jacobi_eigenphases_batch(jacobi_matrix_batch(betas[hits])))
         n_accepted += len(hits)
         # the final batch counts draws up to its last hit only: a sequential rate estimate
         total += int(hits[-1]) + 1 if n_accepted == count else batch
@@ -145,12 +157,13 @@ def _sample_excised_single(spec: ExcisionSpec, count: int, rng):
 def sample_excised(spec: ExcisionSpec, count: int, seed, workers: int = 1):
     """Exactly `count` accepted eigenphase spectra of the excised ensemble.
 
-    Rejection sampling: Haar SO(2N) matrices are drawn in batches of at most
-    50 000 and those with log Lambda_A(1, N) < X discarded; a DomainError is
-    raised when the acceptance rate falls below 1e-6.  With `workers` > 1 the
-    draw is split across independently seeded substreams (spawned from
-    `seed`), so results are deterministic for fixed (seed, workers) and
-    independent of scheduling.
+    Rejection sampling: Haar SO(2N) spectra are drawn from the Killip-Nenciu
+    tridiagonal model in batches of at most 50 000, those with
+    log Lambda_A(1, N) < X are discarded before the eigen-solve, and a
+    DomainError is raised when the acceptance rate falls below 1e-6.  With
+    `workers` > 1 the draw is split across independently seeded substreams
+    (spawned from `seed`), so results are deterministic for fixed
+    (seed, workers) and independent of scheduling.
 
     Returns (spectra, summary): spectra has shape (count, N), rows sorted.
     """

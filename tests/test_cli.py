@@ -432,6 +432,33 @@ class TestCompareCommand:
         assert capsys.readouterr().err.startswith("error:")
         assert not out.exists()
 
+    @pytest.mark.parametrize("side", ["--a", "--b"])
+    def test_non_finite_histogram_value_is_domain_error(self, tmp_path, capsys, side):
+        good, bad = tmp_path / "good.csv", tmp_path / "bad.csv"
+        self._write_hist(good, seed=5)
+        lines = good.read_text().splitlines()
+        lines[3] = ",".join(lines[3].split(",")[:2] + ["nan"])
+        bad.write_text("\n".join(lines) + "\n")
+        out = tmp_path / "cmp.json"
+        inputs = {"--a": good, "--b": good, side: bad}
+        code = run(["compare", "--a", inputs["--a"], "--b", inputs["--b"], "--out", out])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and str(bad) in err and "finite" in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("bad_value", ["nan", "inf", "-inf"])
+    def test_non_finite_sample_is_domain_error(self, tmp_path, capsys, bad_value):
+        hist_path, samples = tmp_path / "h.csv", tmp_path / "samples.csv"
+        self._write_hist(hist_path, seed=5)
+        samples.write_text(f"0.3\n0.7\n{bad_value}\n1.1\n")
+        out = tmp_path / "cmp.json"
+        code = run(["compare", "--a", hist_path, "--b", samples, "--b-kind", "samples", "--out", out])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and str(samples) in err and "non-finite" in err
+        assert not out.exists()
+
     def test_summary_json_as_histogram_is_domain_error(self, tmp_path, capsys):
         hist_path, summary = tmp_path / "h.csv", tmp_path / "s.json"
         self._write_hist(hist_path, seed=5)

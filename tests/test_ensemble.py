@@ -36,6 +36,10 @@ class TestExcisionSpec:
         spec = ExcisionSpec(2, X_TENTH)
         assert spec.n_pairs == 2
 
+    def test_nan_cutoff_rejected(self):
+        with pytest.raises(DomainError, match="nan"):
+            ExcisionSpec(2, np.nan)
+
 
 class TestSampleExcised:
     def test_everything_accepted_below_attainable_minimum(self):
@@ -83,6 +87,21 @@ class TestSampleExcised:
         assert sa == sb
         assert sa.total_drawn > 257 * workers
 
+    def test_phase_rounding_to_zero_is_still_accepted(self):
+        # every draw, by either route, is a spectrum whose phase rounds to 0:
+        # Beta variables of 1e-20 give x = 2 - 4e-20, and identity Gaussians give
+        # the identity rotation; log Lambda = log 4e-20 clears X = -1e9
+        class PhaseZeroGenerator:
+            def beta(self, a, b, size):
+                return np.full(size, 1e-20)
+
+            def standard_normal(self, size):
+                return np.broadcast_to(np.eye(size[-1]), size).copy()
+
+        phases, total = ensemble_module._sample_excised_single(ExcisionSpec(1, -1e9), 5, PhaseZeroGenerator())
+        assert np.array_equal(phases, np.zeros((5, 1)))
+        assert total == 5
+
     def test_raising_cutoff_never_accepts_more(self):
         # acceptance is a threshold on a per-matrix scalar
         phases = eigenphases_batch(sample_so2n_batch(2, 5000, np.random.default_rng(11)))
@@ -122,6 +141,13 @@ class TestHistogram:
             Histogram(np.array([0.0, 1.0]), np.array([1, 2]))
         with pytest.raises(DomainError):
             Histogram(np.array([0.0, 1.0, 0.5]), np.array([1, 2]))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_edges_or_counts_rejected(self, bad):
+        with pytest.raises(DomainError, match="finite"):
+            Histogram(np.array([0.0, 1.0, bad]), np.array([1, 2]))
+        with pytest.raises(DomainError, match="finite"):
+            Histogram(np.array([0.0, 1.0, 2.0]), np.array([1.0, bad]))
 
     def test_pdf_integral_is_total_mass(self):
         h = Histogram(np.linspace(0, 1, 11), np.arange(10), total_mass=3.0)

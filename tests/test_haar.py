@@ -1,13 +1,17 @@
 import numpy as np
 import pytest
-from scipy.stats import chi2
+from scipy.stats import chi2, ks_2samp, kstest
 
-from excised_ensemble.analytic import r1_so2n_unscaled
+from excised_ensemble.analytic import moments_so2n, r1_so2n_unscaled
 from excised_ensemble.errors import DomainError
 from excised_ensemble.haar import (
+    beta_log_char_poly_batch,
     eigenphases_batch,
+    jacobi_eigenphases_batch,
+    jacobi_matrix_batch,
     log_char_poly_batch,
     max_log_char_poly,
+    sample_beta_batch,
     sample_so2n_batch,
     write_spectra_csv,
 )
@@ -34,6 +38,23 @@ def one_matrix(n_pairs, seed):
 
 def phases_of(matrix):
     return eigenphases_batch(matrix[None])[0]
+
+
+def one_level_chi_square(phases, n_bins=50):
+    """Chi-square statistic of the pooled eigenphases of Haar SO(2N) spectra
+    (rows) against the exact one-level density, on `n_bins` equal bins."""
+    n = phases.shape[1]
+    counts, edges = np.histogram(phases.ravel(), bins=n_bins, range=(0, np.pi))
+    grid = np.linspace(0, np.pi, 4001)
+    dens = r1_so2n_unscaled(n, grid)
+    cdf = np.concatenate([[0.0], np.cumsum((dens[1:] + dens[:-1]) / 2 * np.diff(grid))])
+    expected = len(phases) * np.diff(np.interp(edges, grid, cdf))
+    return float(np.sum((counts - expected) ** 2 / expected))
+
+
+def tridiagonal_phases(n_pairs, count, seed):
+    betas = sample_beta_batch(n_pairs, count, np.random.default_rng(seed))
+    return jacobi_eigenphases_batch(jacobi_matrix_batch(betas))
 
 
 class TestSampling:
@@ -66,6 +87,69 @@ class TestSampling:
         expected = len(angles) / 50
         stat = np.sum((counts - expected) ** 2 / expected)
         assert chi2.sf(stat, df=49) > 0.01
+
+
+class TestTridiagonalModel:
+    """The Killip-Nenciu draw against exact laws of Haar SO(2N) and the QR route."""
+
+    def test_rejects_n_zero(self):
+        with pytest.raises(DomainError):
+            sample_beta_batch(0, 1, np.random.default_rng(1))
+
+    @pytest.mark.parametrize("n_pairs", [1, 2, 3, 12])
+    def test_moments_match_exact(self, n_pairs):
+        log_lambda = beta_log_char_poly_batch(sample_beta_batch(n_pairs, 200_000, np.random.default_rng(70 + n_pairs)))
+        for s in (0.5, 1.0, 2.0):
+            lam = np.exp(s * log_lambda)
+            stderr = lam.std(ddof=1) / np.sqrt(len(lam))
+            assert abs(lam.mean() - moments_so2n(n_pairs, s)) <= 4 * stderr, s
+
+    @pytest.mark.parametrize("n_pairs", [1, 2, 3, 12])
+    def test_log_lambda_is_log_det_of_two_minus_j(self, n_pairs):
+        betas = sample_beta_batch(n_pairs, 20_000, np.random.default_rng(80 + n_pairs))
+        shifted = 2 * np.eye(n_pairs) - jacobi_matrix_batch(betas)
+        # det(2 - J) is good to about eps / smallest eigenvalue; compare where that is >= 1e-2
+        well_posed = np.linalg.eigvalsh(shifted)[:, 0] >= 1e-2
+        assert well_posed.mean() > 0.2
+        sign, log_det = np.linalg.slogdet(shifted[well_posed])
+        assert np.all(sign == 1)
+        assert np.max(np.abs(log_det - beta_log_char_poly_batch(betas[well_posed]))) < 1e-12
+
+    def test_jacobi_matrix_is_symmetric_tridiagonal(self):
+        jacobi = jacobi_matrix_batch(sample_beta_batch(5, 100, np.random.default_rng(3)))
+        assert np.array_equal(jacobi, np.swapaxes(jacobi, 1, 2))
+        assert np.all(np.triu(jacobi, 2) == 0)
+        assert np.all(np.diagonal(jacobi, 1, axis1=1, axis2=2) > 0)
+
+    @pytest.mark.parametrize("n_pairs", [2, 3, 12])
+    def test_log_lambda_matches_phases_in_bulk(self, n_pairs):
+        betas = sample_beta_batch(n_pairs, 20_000, np.random.default_rng(90 + n_pairs))
+        phases = jacobi_eigenphases_batch(jacobi_matrix_batch(betas))
+        bulk = np.all((phases > 0.05) & (phases < np.pi - 0.05), axis=1)
+        assert bulk.mean() > 0.3
+        diff = log_char_poly_batch(phases[bulk]) - beta_log_char_poly_batch(betas[bulk])
+        assert np.max(np.abs(diff)) < 1e-10
+
+    @pytest.mark.parametrize("n_pairs", [3, 12])
+    def test_one_level_density_chi_square(self, n_pairs):
+        stat = one_level_chi_square(tridiagonal_phases(n_pairs, 50_000, 100 + n_pairs))
+        assert chi2.sf(stat, df=49) > 0.01
+
+    @pytest.mark.parametrize("n_pairs", [2, 12])
+    def test_first_phase_matches_qr_reference(self, n_pairs):
+        ours = tridiagonal_phases(n_pairs, 10_000, 110 + n_pairs)[:, 0]
+        reference = eigenphases_batch(sample_so2n_batch(n_pairs, 10_000, np.random.default_rng(120 + n_pairs)))[:, 0]
+        assert ks_2samp(ours, reference).pvalue > 0.01
+
+    def test_so2_phase_uniform(self):
+        phases = tridiagonal_phases(1, 100_000, 130)
+        assert kstest(phases[:, 0], "uniform", args=(0.0, np.pi)).pvalue > 0.01
+
+    def test_shape_and_ascending_rows(self):
+        phases = tridiagonal_phases(5, 1000, 140)
+        assert phases.shape == (1000, 5)
+        assert np.all(np.diff(phases, axis=1) >= 0)
+        assert np.all((phases >= 0) & (phases <= np.pi))
 
 
 class TestEigenphases:

@@ -52,6 +52,10 @@ ORACLES = {
     "barnes_g",  # test_acceptance.py::test_c10_special_function_anchors
     "r1_excised_line_integral",  # test_acceptance.py::test_c06_dual_route_identity
     "cd_kernel_diag",  # test_analytic.py::TestKernel checks the kernel the density runs
+    # the QR route is the reference sampler of test_acceptance.py c02, c03, c11 and c12,
+    # of test_ensemble.py::TestSampleExcised and of test_haar.py::TestTridiagonalModel
+    "sample_so2n_batch",
+    "eigenphases_batch",
 }
 
 
