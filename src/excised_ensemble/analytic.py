@@ -6,8 +6,8 @@ and the excised one-level density with its hard gap.
 The excised density is a Bromwich (inverse Mellin) integral through r = c > 0,
 equal to the sum of residues at r = 0 and the negative half-integers.  The
 residue series converges factorially fast in the bulk but only algebraically
-as theta approaches the hard-gap edge, so wherever its tail estimate misses
-the requested tolerance the integral is summed on a parabola instead.
+as theta approaches the hard-gap edge, so wherever its error estimate misses
+1e-9 the integral is summed on a parabola instead.
 """
 
 from __future__ import annotations
@@ -51,6 +51,7 @@ _LOG2 = np.log(2.0)
 _CONTOUR_RADIUS = 0.1
 _CONTOUR_NODES = 128
 _RATIO_TOL = 1e-10
+_DENSITY_TOL = 1e-9
 _EPS = np.finfo(float).eps
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(12)
 _KAPPA0 = 0.15  # curvature of the Bromwich parabola times _leading_power(N)
@@ -274,10 +275,13 @@ def _contour_residue(func, center: float):
     return np.mean(vals, axis=-1), np.mean(np.abs(vals), axis=-1)
 
 
-def _residue_series(func, truncation_K: int):
-    """Sum of the residues of `func` at -3/2, ..., -(2K+1)/2, the summed
-    magnitudes of their contour summands (eps times which is the sum's
-    rounding floor), and |residue| at -(2K+3)/2, the tail estimate.
+def _residue_series(func, truncation_K: int, *closed_forms):
+    """(value, error) of a residue series, the pair `_line_quadrature` returns.
+
+    `value` is the sum of the `closed_forms` (residues known exactly) plus the
+    contour residues of `func` at -3/2, ..., -(2K+1)/2.  `error` is |residue|
+    at -(2K+3)/2, the truncation tail, plus the rounding floor: eps times the
+    summed magnitudes of the terms, the closed forms and the contour summands.
 
     Each residue is folded in before the next is computed: holding all K
     across the density's (points x nodes) temporaries raised its peak memory
@@ -288,7 +292,8 @@ def _residue_series(func, truncation_K: int):
         res, size = _contour_residue(func, -(2 * k + 1) / 2.0)
         total, magnitude = total + res, magnitude + size
     tail = np.abs(_contour_residue(func, -(2 * truncation_K + 3) / 2.0)[0])
-    return total, magnitude, tail
+    value = sum(closed_forms) + np.real(total)
+    return value, tail + _EPS * (sum(np.abs(f) for f in closed_forms) + magnitude)
 
 
 def kernel_residue_at_minus_half(n_pairs: int, log_cutoff: float, theta):
@@ -309,7 +314,8 @@ def kernel_residue_at_minus_half(n_pairs: int, log_cutoff: float, theta):
 @dataclass(frozen=True)
 class NormalizationResult:
     """The Haar probability P(log Lambda >= X), summed as a residue series,
-    and `tail_estimate`, the magnitude of the first residue left out."""
+    and `tail_estimate`, the magnitude of the first residue left out plus the
+    rounding floor, as in `DensityGrid.tails`."""
 
     value: float
     tail_estimate: float
@@ -321,9 +327,8 @@ def normalization_ratio(n_pairs: int, log_cutoff: float, truncation_K: int = 10)
 
     Raises DomainError when the truncated series does not lie in (0, 1]: for
     large N it is summed outside the range where it converges.  Also raises
-    when it is not certified to 1e-10: when the next pole's residue (the
-    truncation tail) or the rounding floor, eps times the summed term
-    magnitudes, exceeds it.
+    when it is not certified to 1e-10: when its error, the next pole's
+    residue plus the rounding floor, exceeds it.
     """
     if n_pairs < 1:
         raise DomainError("n_pairs must be >= 1")
@@ -336,18 +341,16 @@ def normalization_ratio(n_pairs: int, log_cutoff: float, truncation_K: int = 10)
         return moments_so2n(n_pairs, z, analytic_continuation=True) * np.exp(-z * log_cutoff) / z
 
     minus_half = -2.0 * h_exact(n_pairs) * np.exp(0.5 * log_cutoff)
-    higher, magnitude, tail = _residue_series(integrand, truncation_K)
-    result = NormalizationResult(float(np.real(1.0 + minus_half + higher)), float(tail))
+    result = NormalizationResult(*map(float, _residue_series(integrand, truncation_K, 1.0, minus_half)))
     if not 0.0 < result.value <= 1.0:
         raise DomainError(
             f"normalization ratio {result.value:.6g} at N={n_pairs}, X={log_cutoff:g} lies outside (0, 1]: "
             "the residue series is summed outside the range where it converges"
         )
-    floor = _EPS * (1.0 + abs(minus_half) + magnitude)
-    if tail > _RATIO_TOL or floor > _RATIO_TOL:
+    if result.tail_estimate > _RATIO_TOL:
         raise DomainError(
             f"normalization ratio {result.value:.6g} at N={n_pairs}, X={log_cutoff:g} is not certified: "
-            f"its series tail is {tail:.2g} and its rounding floor {floor:.2g}, against {_RATIO_TOL:.0e}"
+            f"its error estimate is {result.tail_estimate:.2g}, against {_RATIO_TOL:.0e}"
         )
     return result
 
@@ -392,12 +395,12 @@ def _line_quadrature(n_pairs: int, log_cutoff: float, theta: float, c: float):
     return float(np.sum(terms).imag / np.pi), float(error / np.pi)
 
 
-def r1_excised_line_integral(n_pairs: int, log_cutoff: float, theta: float, c: float = 0.5, tol: float = 1e-9) -> float:
+def r1_excised_line_integral(n_pairs: int, log_cutoff: float, theta: float, c: float = 0.5) -> float:
     """Excised one-level density by direct quadrature of the Bromwich integral
     along the parabola through c: the oracle for `density_grid`'s residue route.
 
     Inside the hard gap the contour closes to the right and the value is 0.
-    Raises DomainError when the quadrature's error estimate exceeds `tol`.
+    Raises DomainError when the quadrature's error estimate exceeds 1e-9.
     """
     if c <= 0:
         raise DomainError("contour abscissa c must be positive")
@@ -406,10 +409,10 @@ def r1_excised_line_integral(n_pairs: int, log_cutoff: float, theta: float, c: f
         raise DomainError("theta sits on the hard-gap boundary (d = 0): value is direction-dependent")
     if d < 0:
         return 0.0
-    ratio = normalization_ratio(n_pairs, log_cutoff, 10).value
+    ratio = normalization_ratio(n_pairs, log_cutoff).value
     value, tail_err = _line_quadrature(n_pairs, log_cutoff, theta, c)
-    if tail_err / ratio > tol:
-        raise DomainError(f"line-integral error estimate {tail_err / ratio:.2e} exceeds tolerance {tol:.2e}")
+    if tail_err / ratio > _DENSITY_TOL:
+        raise DomainError(f"line-integral error estimate {tail_err / ratio:.2e} exceeds tolerance {_DENSITY_TOL:.0e}")
     return value / ratio
 
 
@@ -417,32 +420,16 @@ def r1_excised_line_integral(n_pairs: int, log_cutoff: float, theta: float, c: f
 # excised one-level density (residues, with line fallback near the gap edge)
 # ---------------------------------------------------------------------------
 
-def _residue_sum_grid(n_pairs: int, log_cutoff: float, thetas: np.ndarray, truncation_K: int):
-    """Residue-series sum (not yet divided by the normalization ratio) and
-    per-theta tail estimate on a grid.
-
-    The tail includes the rounding floor, eps times the summed magnitudes of
-    the terms, so points where the terms cancel take the line route.
-    """
-    leading = r1_so2n_unscaled(n_pairs, thetas)
-    minus_half = kernel_residue_at_minus_half(n_pairs, log_cutoff, thetas)
-    th_col = thetas[:, None]
-    higher, magnitude, tail = _residue_series(lambda z: excised_integrand(n_pairs, log_cutoff, th_col, z), truncation_K)
-    total = leading + minus_half + np.real(higher)
-    return total, tail + _EPS * (np.abs(leading) + np.abs(minus_half) + magnitude)
-
-
 @dataclass(frozen=True)
 class DensityGrid:
     """Excised one-level density on an ascending theta grid.  `tails` holds the
-    tail estimate, divided by the ratio like the values, of the route that
-    produced each value (the Bromwich parabola where `line_route` is set);
-    `ratio` is the normalization the values were divided by."""
+    error estimate, divided by the ratio like the values, of the route that
+    produced each value: the next pole's residue plus the rounding floor, or
+    the parabola's where `line_route` is set.  `ratio` is the normalization
+    the values were divided by."""
 
     thetas: np.ndarray
     values: np.ndarray
-    n_pairs: int
-    log_cutoff: float
     tails: np.ndarray
     line_route: np.ndarray
     ratio: NormalizationResult
@@ -454,29 +441,36 @@ class DensityGrid:
             raise DomainError("density values must be nonnegative")
 
 
-def density_grid(n_pairs: int, log_cutoff: float, thetas, truncation_K: int = 10, tol: float = 1e-9) -> DensityGrid:
+def density_grid(n_pairs: int, log_cutoff: float, thetas, truncation_K: int = 10) -> DensityGrid:
     """Excised one-level density R_1 on an ascending grid of angles.
 
-    Zero on the hard gap (the boundary d = 0 is assigned to the gap).  Where
-    the residue-series tail estimate exceeds `tol` (next to the gap edge, and
-    where the residue terms cancel) the value is recomputed on the Bromwich
-    parabola through c = 1/2.  A point whose final tail still exceeds `tol`
-    keeps its value; `tails` shows the miss.  A negative value within its
-    tail of 0 becomes 0; one further below, or NaN, raises DomainError.
+    Off the gap it sums R_1 of SO(2N), the closed-form residue at r = -1/2
+    and the contour residues at -3/2, ..., -(2K+1)/2, and divides by
+    `normalization_ratio(n_pairs, log_cutoff)`.  Zero on the hard gap (the
+    boundary d = 0 is assigned to the gap).  Where the residue series' error
+    exceeds 1e-9 (next to the gap edge, and where the residue terms cancel)
+    the value is recomputed on the Bromwich parabola through c = 1/2.  A
+    point whose final tail still exceeds 1e-9 keeps its value; `tails` shows
+    the miss.  A negative value within its tail of 0 becomes 0; one further
+    below, or NaN, raises DomainError.
     """
     if truncation_K < 1:
         raise DomainError("truncation_K must be >= 1")
     thetas = np.atleast_1d(np.asarray(thetas, dtype=float))
-    ratio = normalization_ratio(n_pairs, log_cutoff, max(truncation_K, 10))
+    ratio = normalization_ratio(n_pairs, log_cutoff)
     norm = ratio.value
     values = np.zeros_like(thetas)
     tails = np.zeros_like(thetas)
     live = gap_margin(n_pairs, log_cutoff, thetas) > 0
     if np.any(live):
-        sums, residue_tails = _residue_sum_grid(n_pairs, log_cutoff, thetas[live], truncation_K)
+        th = thetas[live]
+        sums, errors = _residue_series(
+            lambda z: excised_integrand(n_pairs, log_cutoff, th[:, None], z), truncation_K,
+            r1_so2n_unscaled(n_pairs, th), kernel_residue_at_minus_half(n_pairs, log_cutoff, th),
+        )
         values[live] = sums / norm
-        tails[live] = residue_tails / norm
-    line_route = tails > tol
+        tails[live] = errors / norm
+    line_route = tails > _DENSITY_TOL
     for i in np.nonzero(line_route)[0]:
         value, tail_err = _line_quadrature(n_pairs, log_cutoff, float(thetas[i]), 0.5)
         values[i], tails[i] = value / norm, tail_err / norm
@@ -484,7 +478,7 @@ def density_grid(n_pairs: int, log_cutoff: float, thetas, truncation_K: int = 10
     if np.any(below):
         i = np.argmax(below)
         raise DomainError(f"density {values[i]:.6g} at theta={float(thetas[i])!r} is below -tail = {-tails[i]:.2g}")
-    return DensityGrid(thetas, np.maximum(values, 0.0), n_pairs, log_cutoff, tails, line_route, ratio)
+    return DensityGrid(thetas, np.maximum(values, 0.0), tails, line_route, ratio)
 
 
 def write_density_csv(grid: DensityGrid, path) -> None:

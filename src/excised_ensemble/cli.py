@@ -90,9 +90,10 @@ def _sampling_spec(args) -> ensemble.ExcisionSpec:
 def _cmd_sample(args) -> int:
     spec = _sampling_spec(args)
     first = args.histogram == "first"
-    if args.histogram != "none":
-        # edges are checked before sampling; one-level densities bin raw phases on [0, pi]
-        edges = ensemble.default_bin_edges(args.bins, scale=args.scale if first else 1.0)
+    # --bins and --scale are checked in every mode before sampling
+    edges = ensemble.default_bin_edges(args.bins, scale=args.scale)
+    if not first:
+        edges = ensemble.default_bin_edges(args.bins)  # one-level densities bin raw phases on [0, pi]
     spectra, summary = ensemble.sample_excised(spec, args.count, args.seed, workers=args.workers)
     if args.histogram != "none":
         if first:
@@ -194,7 +195,10 @@ def _load_histogram(path, kind: str, bins: int) -> ensemble.Histogram:
         raise DomainError(f"no samples in {path}")
     if not np.all(np.isfinite(values)):
         raise DomainError(f"{path} holds a non-finite sample")
-    edges = np.linspace(float(values.min()), float(values.max()), bins + 1)
+    lo, hi = float(values.min()), float(values.max())
+    edges = np.linspace(lo, hi, bins + 1)
+    if not np.all(np.diff(edges) > 0):
+        raise DomainError(f"the samples in {path} span no range to split into {bins} bins: all lie in [{lo!r}, {hi!r}]")
     counts, _ = np.histogram(values, bins=edges)
     return ensemble.Histogram(edges, counts)
 

@@ -234,6 +234,13 @@ class TestNormalizationRatio:
         with pytest.raises(DomainError, match="not certified"):
             normalization_ratio(n, log_cutoff)
 
+    @pytest.mark.parametrize("n, log_cutoff", [(2, X_TENTH), (12, np.log(0.005424))])
+    def test_tail_estimate_counts_the_rounding_floor(self, n, log_cutoff):
+        # like the density's tails, the estimate is the next pole's residue plus
+        # eps times the summed term magnitudes; the next residue alone is 2.6e-30 and 3.5e-32 here
+        ratio = normalization_ratio(n, log_cutoff)
+        assert ratio.tail_estimate >= np.finfo(float).eps * ratio.value
+
 
 class TestKernel:
     @pytest.mark.parametrize("n", [2, 3])
@@ -333,9 +340,9 @@ class TestExcisedDensity:
         assert not bulk.line_route[0] and bulk.tails[0] < 1e-9
 
     def test_line_route_tail_is_reported(self):
-        # the line quadrature cannot reach tol = 1e-20; its tail is returned, not hidden
+        # next to the gap edge the point takes the line route; its tail is returned, not hidden
         ti = theta_inf(2, X_TENTH)
-        dg = density_grid(2, X_TENTH, [ti + 0.01], tol=1e-20)
+        dg = density_grid(2, X_TENTH, [ti + 0.01])
         assert dg.line_route[0] and dg.tails[0] > 1e-20
         assert dg.values[0] == density_grid(2, X_TENTH, [ti + 0.01]).values[0]
 
@@ -473,9 +480,9 @@ class TestDensityGrid:
     def test_invariants_enforced(self):
         diagnostics = (np.zeros(2), np.zeros(2, dtype=bool), normalization_ratio(2, X_TENTH))
         with pytest.raises(DomainError):
-            DensityGrid(np.array([0.2, 0.1]), np.array([0.0, 0.0]), 2, X_TENTH, *diagnostics)
+            DensityGrid(np.array([0.2, 0.1]), np.array([0.0, 0.0]), *diagnostics)
         with pytest.raises(DomainError):
-            DensityGrid(np.array([0.1, 0.2]), np.array([-0.1, 0.0]), 2, X_TENTH, *diagnostics)
+            DensityGrid(np.array([0.1, 0.2]), np.array([-0.1, 0.0]), *diagnostics)
 
     def test_ratio_is_the_one_that_scaled_the_values(self):
         grid = np.linspace(0, np.pi, 9)
@@ -484,6 +491,10 @@ class TestDensityGrid:
             assert dg.ratio.value == normalization_ratio(2, X_TENTH, 10).value
         dg = density_grid(2, X_TENTH, grid, truncation_K=12)
         assert dg.ratio.value == normalization_ratio(2, X_TENTH, 12).value
+
+    def test_ratio_does_not_follow_the_density_truncation(self):
+        dg = density_grid(2, X_TENTH, [1.0], truncation_K=40)
+        assert dg.ratio.value == normalization_ratio(2, X_TENTH).value
 
     def test_csv_output(self, tmp_path):
         grid = np.linspace(0, np.pi, 9)

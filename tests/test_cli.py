@@ -169,14 +169,23 @@ class TestSampleCommands:
         hist = ensemble.read_histogram_csv(out)
         assert np.sum(hist.values() * hist.widths) == pytest.approx(1.0, abs=1e-9)
 
-    @pytest.mark.parametrize("subcommand", [["first-eigenvalue"], ["sample", "--histogram", "first"]])
-    def test_negative_scale_is_domain_error(self, tmp_path, capsys, subcommand):
-        out = tmp_path / "first.csv"
+    @pytest.mark.parametrize(
+        "subcommand",
+        [["first-eigenvalue"], ["sample", "--histogram", "first"],
+         ["sample", "--histogram", "one-level"], ["sample", "--histogram", "none"]],
+    )
+    def test_negative_scale_is_domain_error(self, tmp_path, capsys, monkeypatch, subcommand):
+        # one-level and none once ignored the scale, drew every spectrum and wrote "scale": -1.0
+        def fail(*args, **kwargs):
+            raise AssertionError("sampled with a negative scale")
+
+        monkeypatch.setattr(ensemble, "sample_excised", fail)
+        out, summary = tmp_path / "first.csv", tmp_path / "s.json"
         code = run([*subcommand, "--n", 2, "--count", 50, "--cutoff", 0.1, "--scale", -1,
-                    "--out", out, "--summary", tmp_path / "s.json"])
+                    "--out", out, "--summary", summary])
         assert code == 1
         assert capsys.readouterr().err.startswith("error: scale")
-        assert not out.exists()
+        assert not out.exists() and not summary.exists()
 
     @pytest.mark.parametrize("subcommand", [["sample"], ["first-eigenvalue"]])
     def test_nan_cutoff_is_rejected_before_sampling(self, tmp_path, capsys, monkeypatch, subcommand):
@@ -213,7 +222,8 @@ class TestSampleCommands:
 
     @pytest.mark.parametrize("bins", [0, -3])
     @pytest.mark.parametrize(
-        "subcommand", [["sample"], ["sample", "--histogram", "one-level"], ["first-eigenvalue"]]
+        "subcommand",
+        [["sample"], ["sample", "--histogram", "one-level"], ["first-eigenvalue"], ["sample", "--histogram", "none"]],
     )
     def test_bins_below_one_is_rejected_before_sampling(self, tmp_path, capsys, monkeypatch, subcommand, bins):
         # these once drew every spectrum before failing, or died with a traceback
@@ -408,6 +418,19 @@ class TestCompareCommand:
         code = run(["compare", "--a", hist_path, "--b", spectra, "--b-kind", "samples", "--out", out])
         assert code == 1
         assert "error:" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("values", ["0.5\n0.5\n", "0.5\n"])
+    def test_samples_spanning_no_range_is_domain_error(self, tmp_path, capsys, values):
+        # zero-width bins once failed with "bin edges must be strictly ascending", naming no file
+        two, same = tmp_path / "two.csv", tmp_path / "same.csv"
+        two.write_text("0.2\n0.7\n")
+        same.write_text(values)
+        out = tmp_path / "compare.json"
+        code = run(["compare", "--a", two, "--a-kind", "samples", "--b", same, "--b-kind", "samples", "--out", out])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and str(same) in err and "span no range" in err
         assert not out.exists()
 
     def test_empty_samples_file_is_domain_error(self, tmp_path, capsys):
