@@ -7,13 +7,17 @@ The excised density is a Bromwich (inverse Mellin) integral through r = c > 0,
 equal to the sum of residues at r = 0 and the negative half-integers.  The
 residue series converges factorially fast in the bulk but only algebraically
 as theta approaches the hard-gap edge, so wherever its error estimate misses
-1e-9 the integral is summed on a parabola instead.
+1e-9 the integral is summed on a parabola instead.  Each higher residue is a
+trapezoid sum on a circle with theta factored out: the Jacobi Wronskian is a
+cosine polynomial in theta, and the exponential e^(r d) splits into one table
+shared by every pole and one scalar per (point, pole).
 """
 
 from __future__ import annotations
 
 import csv
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -266,32 +270,78 @@ def excised_integrand(n_pairs: int, log_cutoff: float, theta, r):
     return out if out.ndim else complex(out)
 
 
+def _contour_nodes(center: float):
+    return center + _CONTOUR_RADIUS * np.exp(2j * np.pi * np.arange(_CONTOUR_NODES) / _CONTOUR_NODES)
+
+
 def _contour_residue(func, center: float):
     """Residue via the trapezoid rule on a circle (spectrally accurate), and
     the mean magnitude of the summands, which sets its rounding error."""
-    angles = 2.0 * np.pi * np.arange(_CONTOUR_NODES) / _CONTOUR_NODES
-    z = center + _CONTOUR_RADIUS * np.exp(1j * angles)
+    z = _contour_nodes(center)
     vals = func(z) * (z - center)
     return np.mean(vals, axis=-1), np.mean(np.abs(vals), axis=-1)
 
 
-def _residue_series(func, truncation_K: int, *closed_forms):
+def _wronskian_cosine_coefficients(n_pairs: int, r):
+    """C_k(r), k < 2N-1, with W(cos theta, r) = sum_k C_k(r) cos k theta: W is a
+    polynomial of degree 2N-2 in cos theta, so its values at the 2N-1
+    Chebyshev roots give the C_k exactly by discrete cosine orthogonality.
+    Shape r.shape + (2N-1,)."""
+    size = 2 * n_pairs - 1
+    roots = (np.arange(size) + 0.5) * np.pi / size
+    dct = (2.0 / size) * np.cos(np.multiply.outer(roots, np.arange(size)))
+    dct[:, 0] /= 2.0
+    values = _wronskian(n_pairs, np.asarray(r, dtype=complex)[..., None], np.cos(roots))
+    return values @ dct
+
+
+def _density_residue(n_pairs: int, log_cutoff: float, thetas):
+    """residue(center) -> (value, magnitude): `_contour_residue` of the excised
+    integrand at every theta (all off the gap, d > 0), with theta factored out.
+
+    On the circle r = c + rho e^(i phi), e^(r d) = e^((c+rho) d) T, where
+    T = e^((rho e^(i phi) - rho) d) has modulus <= 1 and is one table shared
+    by every pole, and W = sum_k C_k cos k theta.  Each residue is then the row
+    sum of (T @ B) * cos k theta, B[m, k] = C_k(z_m) times the node's
+    rational factor and its Gamma factor over the circle's largest, times one
+    exponential per (point, pole), so no factor overflows into inf * 0.
+    `magnitude` sums the moduli of the same terms, (|T| @ |B|) * |cos k theta|.
+    """
+    d = gap_margin(n_pairs, log_cutoff, thetas)
+    offsets = _contour_nodes(0.0)
+    table = np.exp(np.multiply.outer(d, offsets - _CONTOUR_RADIUS))
+    table_abs = np.abs(table)
+    cosines = np.cos(np.multiply.outer(thetas, np.arange(2 * n_pairs - 1)))
+
+    def residue(center: float):
+        z = center + offsets
+        log_g = _log_moment_gammas(n_pairs, z, _kernel_log_gammas(n_pairs, z))
+        top = np.max(log_g.real)
+        weights = np.exp(log_g - top) * 2.0 * offsets / (z * (2 * n_pairs + z - 1)) / _CONTOUR_NODES
+        b = weights[:, None] * _wronskian_cosine_coefficients(n_pairs, z)
+        scale = np.exp((center + _CONTOUR_RADIUS) * d + top)
+        value = scale * np.sum((table @ b) * cosines, axis=1)
+        magnitude = scale * np.sum((table_abs @ np.abs(b)) * np.abs(cosines), axis=1)
+        return value, magnitude
+
+    return residue
+
+
+def _residue_series(residue, truncation_K: int, *closed_forms):
     """(value, error) of a residue series, the pair `_line_quadrature` returns.
 
-    `value` is the sum of the `closed_forms` (residues known exactly) plus the
-    contour residues of `func` at -3/2, ..., -(2K+1)/2.  `error` is |residue|
-    at -(2K+3)/2, the truncation tail, plus the rounding floor: eps times the
-    summed magnitudes of the terms, the closed forms and the contour summands.
-
-    Each residue is folded in before the next is computed: holding all K
-    across the density's (points x nodes) temporaries raised its peak memory
-    by 3.6 MiB at 2000 points, N = 2, in some runs (2-vCPU host, glibc malloc).
+    `residue(center)` returns the residue at `center` and the summed
+    magnitudes of the terms that formed it.  `value` is the sum of the
+    `closed_forms` (residues known exactly) plus the residues at -3/2, ...,
+    -(2K+1)/2.  `error` is |residue| at -(2K+3)/2, the truncation tail, plus
+    the rounding floor: eps times the summed magnitudes of the terms, the
+    closed forms and the residues' own.
     """
     total = magnitude = 0.0
     for k in range(1, truncation_K + 1):
-        res, size = _contour_residue(func, -(2 * k + 1) / 2.0)
+        res, size = residue(-(2 * k + 1) / 2.0)
         total, magnitude = total + res, magnitude + size
-    tail = np.abs(_contour_residue(func, -(2 * truncation_K + 3) / 2.0)[0])
+    tail = np.abs(residue(-(2 * truncation_K + 3) / 2.0)[0])
     value = sum(closed_forms) + np.real(total)
     return value, tail + _EPS * (sum(np.abs(f) for f in closed_forms) + magnitude)
 
@@ -341,7 +391,8 @@ def normalization_ratio(n_pairs: int, log_cutoff: float, truncation_K: int = 10)
         return moments_so2n(n_pairs, z, analytic_continuation=True) * np.exp(-z * log_cutoff) / z
 
     minus_half = -2.0 * h_exact(n_pairs) * np.exp(0.5 * log_cutoff)
-    result = NormalizationResult(*map(float, _residue_series(integrand, truncation_K, 1.0, minus_half)))
+    residue = partial(_contour_residue, integrand)
+    result = NormalizationResult(*map(float, _residue_series(residue, truncation_K, 1.0, minus_half)))
     if not 0.0 < result.value <= 1.0:
         raise DomainError(
             f"normalization ratio {result.value:.6g} at N={n_pairs}, X={log_cutoff:g} lies outside (0, 1]: "
@@ -465,7 +516,7 @@ def density_grid(n_pairs: int, log_cutoff: float, thetas, truncation_K: int = 10
     if np.any(live):
         th = thetas[live]
         sums, errors = _residue_series(
-            lambda z: excised_integrand(n_pairs, log_cutoff, th[:, None], z), truncation_K,
+            _density_residue(n_pairs, log_cutoff, th), truncation_K,
             r1_so2n_unscaled(n_pairs, th), kernel_residue_at_minus_half(n_pairs, log_cutoff, th),
         )
         values[live] = sums / norm

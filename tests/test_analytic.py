@@ -319,6 +319,13 @@ class TestExcisedDensity:
             assert density_grid(2, -40.0, [theta]).values[0] == pytest.approx(
                 r1_so2n_unscaled(2, theta), abs=1e-8
             )
+        # at X = -8000, e^(r d) overflows on the contours unless each pole's
+        # exponential is split as e^((c+rho) d) times a factor of modulus <= 1;
+        # theta = 0 stays in the gap (d = -inf)
+        thetas = np.linspace(0, np.pi, 50)
+        values = density_grid(2, -8000.0, thetas).values
+        assert np.all(np.isfinite(values)) and values[0] == 0.0
+        np.testing.assert_allclose(values[1:], r1_so2n_unscaled(2, thetas[1:]), rtol=0, atol=1e-12)
 
     @pytest.mark.parametrize("n", [36, 40])
     def test_limit_recovers_so2n_past_weyl_constant_overflow(self, n):
@@ -354,6 +361,12 @@ class TestExcisedDensity:
         dg = density_grid(6, 0.0, thetas)
         assert dg.line_route[10]
         assert dg.values[10] == pytest.approx(r1_excised_line_integral(6, 0.0, thetas[10], c=1.0), rel=1e-8)
+        # with the floor counting the terms of the cosine form of W, the points
+        # near theta = 0.26-0.45 that missed the oracle by up to 6.6e-10, beyond
+        # tails <= 3.2e-10, take the line route too
+        live = gap_margin(6, 0.0, thetas) > 0
+        oracle = np.array([r1_excised_line_integral(6, 0.0, t, c=1.0) for t in thetas[live]])
+        assert np.all(np.abs(dg.values[live] - oracle) <= dg.tails[live] + 1e-10)
 
     def test_residue_route_matches_line_integral_near_x_one(self):
         # the residue route reports a tail of 6.6e-10 here; Jacobi values that
@@ -439,6 +452,38 @@ class TestExcisedDensity:
         ti = theta_inf(2, X_TENTH)
         val, _ = quad(lambda t: density_grid(2, X_TENTH, [t]).values[0], ti, np.pi, limit=300)
         assert val == pytest.approx(2.0, abs=1e-7)
+
+
+class TestFactoredResidues:
+    @pytest.mark.parametrize("n", [1, 2, 3, 12, 17])
+    @pytest.mark.parametrize("center", [-1.5, -10.5])
+    def test_cosine_coefficients_reproduce_wronskian(self, n, center):
+        rng = np.random.default_rng(14)
+        thetas = np.pi - rng.uniform(0.0, np.pi, 64)  # in (0, pi]
+        z = analytic._contour_nodes(center)
+        coefficients = analytic._wronskian_cosine_coefficients(n, z)
+        series = coefficients @ np.cos(np.multiply.outer(np.arange(2 * n - 1), thetas))
+        direct = analytic._wronskian(n, z[:, None], np.cos(thetas))
+        # at N = 17 the Jacobi sum itself errs by about 2e-13 in the interior
+        # (x = -0.23 against 40-digit mpmath), on both sides of the comparison
+        tol = 2e-12 if n == 17 else 1e-13
+        assert np.all(np.abs(series - direct) <= tol * np.abs(direct).max(axis=1, keepdims=True))
+
+    @pytest.mark.parametrize(
+        "n,log_cutoff", [(1, -2.0), (2, X_TENTH), (3, X_TENTH), (12, np.log(0.005424))], ids=["n1", "n2", "n3", "n12"]
+    )
+    def test_factored_sum_matches_direct_trapezoid_sum(self, n, log_cutoff):
+        thetas = np.linspace(0, np.pi, 61)
+        thetas = thetas[gap_margin(n, log_cutoff, thetas) > 0]
+        closed = (r1_so2n_unscaled(n, thetas), kernel_residue_at_minus_half(n, log_cutoff, thetas))
+        value, error = analytic._residue_series(analytic._density_residue(n, log_cutoff, thetas), 10, *closed)
+        residues = 0.0
+        for k in range(1, 11):
+            center = -(2 * k + 1) / 2.0
+            z = center + 0.1 * np.exp(2j * np.pi * np.arange(128) / 128)
+            residues = residues + np.mean(excised_integrand(n, log_cutoff, thetas[:, None], z) * (z - center), axis=1)
+        assert thetas[-1] == np.pi
+        assert np.all(np.abs(value - (sum(closed) + residues.real)) <= error)
 
 
 class TestLineIntegral:
