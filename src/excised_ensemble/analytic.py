@@ -291,7 +291,7 @@ def _wronskian_cosine_coefficients(n_pairs: int, r):
     roots = (np.arange(size) + 0.5) * np.pi / size
     dct = (2.0 / size) * np.cos(np.multiply.outer(roots, np.arange(size)))
     dct[:, 0] /= 2.0
-    values = _wronskian(n_pairs, np.asarray(r, dtype=complex)[..., None], np.cos(roots))
+    values = _wronskian(n_pairs, r[..., None], np.cos(roots))
     return values @ dct
 
 
