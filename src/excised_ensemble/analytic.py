@@ -16,6 +16,7 @@ shared by every pole and one scalar per (point, pole).
 from __future__ import annotations
 
 import csv
+import math
 from dataclasses import dataclass
 from functools import partial
 
@@ -24,6 +25,7 @@ import numpy as np
 from .errors import DomainError
 from .special_functions import (
     JacobiOrder,
+    _log,
     jacobi_p,
     jacobi_p_deriv,
     log_barnes_g,
@@ -88,10 +90,10 @@ def _log_gamma_run(z, count: int):
     """sum_{j<count} log Gamma(z+j) = count log Gamma(z) + sum_j (count-1-j) log(z+j):
     one log-Gamma evaluation plus count-1 logarithms.  Equal to the term-by-term
     sum modulo 2 pi i, which its exponential does not see."""
-    z = np.asarray(z, dtype=complex)
     total = count * log_gamma(z)
+    z = np.asarray(z, dtype=complex)
     for j in range(count - 1):
-        total = total + (count - 1 - j) * np.log(z + j)
+        total = total + (count - 1 - j) * _log(z + j)
     return total
 
 
@@ -128,12 +130,6 @@ def c_so2n(n_pairs: int) -> float:
     return float(value)
 
 
-def _log_moment_gammas(n_pairs: int, s, lead):
-    """lead (2Ns log 2 for `moments_so2n`, added first as it always was) plus the Gamma products of log M_O(N, s)."""
-    return (lead + _log_gamma_run(float(n_pairs), n_pairs) + _log_gamma_run(s + 0.5, n_pairs)
-            - _log_gamma_run(0.5, n_pairs) - _log_gamma_run(s + n_pairs, n_pairs))
-
-
 def moments_so2n(n_pairs: int, s, analytic_continuation: bool = False):
     """Moment generating function M_O(N, s) of the characteristic polynomial at 1.
 
@@ -148,7 +144,9 @@ def moments_so2n(n_pairs: int, s, analytic_continuation: bool = False):
     if not analytic_continuation and not np.all(np.isfinite(s) & (np.real(s) > -0.5)):
         raise DomainError("moments_so2n requires a finite s with Re(s) > -1/2")
     with np.errstate(over="ignore", invalid="ignore"):
-        value = np.exp(_log_moment_gammas(n_pairs, s, 2 * n_pairs * s * _LOG2))
+        upper, lower = _log_gamma_run(np.stack([s + 0.5, s + n_pairs]), n_pairs)
+        value = np.exp(2 * n_pairs * s * _LOG2 + _log_gamma_run(float(n_pairs), n_pairs) + upper
+                       - _log_gamma_run(0.5, n_pairs) - lower)
     if np.ndim(value):
         return value
     if not _is_real(s):
@@ -218,6 +216,20 @@ def _kernel_log_gammas(n_pairs: int, r):
     return log_gamma(n_pairs + 1.0) + log_gamma(n_pairs + r) - log_gamma(n_pairs + r - 0.5) - log_gamma(n_pairs - 0.5)
 
 
+def _log_integrand_gammas(n_pairs: int, r):
+    """The Gamma products of the excised integrand, those of log M_O(N, r) plus
+    `_kernel_log_gammas`.  The kernel's Gamma(N+r-1/2) cancels the last factor
+    of the moment's run Gamma(r+1/2) ... Gamma(r+N-1/2), and its Gamma(N+r) the
+    first of the run Gamma(r+N) ... Gamma(r+2N-1), leaving two runs of N-1
+    factors, whose two log-Gammas are taken in one call."""
+    r = np.asarray(r, dtype=complex)
+    constant = math.lgamma(n_pairs + 1.0) - math.lgamma(n_pairs - 0.5) + sum(
+        math.lgamma(n_pairs + j) - math.lgamma(0.5 + j) for j in range(n_pairs)
+    )
+    upper, lower = _log_gamma_run(np.stack([r + 0.5, r + (n_pairs + 1.0)]), n_pairs - 1)
+    return constant + upper - lower
+
+
 def _kernel_diag(n_pairs: int, r, x):
     """f_N^(r-1/2,-1/2)(theta, theta) at x = cos theta (no domain check)."""
     r = np.asarray(r, dtype=complex)
@@ -263,22 +275,24 @@ def excised_integrand(n_pairs: int, log_cutoff: float, theta, r):
     if np.any(th <= 0) or np.any(th > np.pi):
         raise DomainError("excised_integrand requires theta in (0, pi]")
     out = np.asarray(r * gap_margin(n_pairs, log_cutoff, th))
-    out += _log_moment_gammas(n_pairs, r, _kernel_log_gammas(n_pairs, r))
+    out += _log_integrand_gammas(n_pairs, r)
     np.exp(out, out=out)
     out *= _wronskian(n_pairs, r, np.cos(th))
     out *= 2.0 / (r * (2 * n_pairs + r - 1))
     return out if out.ndim else complex(out)
 
 
-def _contour_nodes(center: float):
-    return center + _CONTOUR_RADIUS * np.exp(2j * np.pi * np.arange(_CONTOUR_NODES) / _CONTOUR_NODES)
+def _contour_nodes(centers):
+    """The trapezoid nodes on the circle around each center, shape centers.shape + (nodes,)."""
+    return np.add.outer(centers, _CONTOUR_RADIUS * np.exp(2j * np.pi * np.arange(_CONTOUR_NODES) / _CONTOUR_NODES))
 
 
-def _contour_residue(func, center: float):
-    """Residue via the trapezoid rule on a circle (spectrally accurate), and
-    the mean magnitude of the summands, which sets its rounding error."""
-    z = _contour_nodes(center)
-    vals = func(z) * (z - center)
+def _contour_residue(func, centers):
+    """Residues at `centers` via the trapezoid rule on circles (spectrally
+    accurate), and the mean magnitudes of the summands, which set their
+    rounding error.  `func` takes every node at once."""
+    z = _contour_nodes(centers)
+    vals = func(z) * (z - centers[:, None])
     return np.mean(vals, axis=-1), np.mean(np.abs(vals), axis=-1)
 
 
@@ -296,8 +310,9 @@ def _wronskian_cosine_coefficients(n_pairs: int, r):
 
 
 def _density_residue(n_pairs: int, log_cutoff: float, thetas):
-    """residue(center) -> (value, magnitude): `_contour_residue` of the excised
-    integrand at every theta (all off the gap, d > 0), with theta factored out.
+    """residue(centers) -> (values, magnitudes), one row per center:
+    `_contour_residue` of the excised integrand at every theta (all off the
+    gap, d > 0), with theta factored out.
 
     On the circle r = c + rho e^(i phi), e^(r d) = e^((c+rho) d) T, where
     T = e^((rho e^(i phi) - rho) d) has modulus <= 1 and is one table shared
@@ -306,6 +321,7 @@ def _density_residue(n_pairs: int, log_cutoff: float, thetas):
     rational factor and its Gamma factor over the circle's largest, times one
     exponential per (point, pole), so no factor overflows into inf * 0.
     `magnitude` sums the moduli of the same terms, (|T| @ |B|) * |cos k theta|.
+    The Gamma factors of every circle are taken in one pass.
     """
     d = gap_margin(n_pairs, log_cutoff, thetas)
     offsets = _contour_nodes(0.0)
@@ -313,16 +329,19 @@ def _density_residue(n_pairs: int, log_cutoff: float, thetas):
     table_abs = np.abs(table)
     cosines = np.cos(np.multiply.outer(thetas, np.arange(2 * n_pairs - 1)))
 
-    def residue(center: float):
-        z = center + offsets
-        log_g = _log_moment_gammas(n_pairs, z, _kernel_log_gammas(n_pairs, z))
-        top = np.max(log_g.real)
+    def residue(centers):
+        z = _contour_nodes(centers)
+        log_g = _log_integrand_gammas(n_pairs, z)
+        top = np.max(log_g.real, axis=1, keepdims=True)
         weights = np.exp(log_g - top) * 2.0 * offsets / (z * (2 * n_pairs + z - 1)) / _CONTOUR_NODES
-        b = weights[:, None] * _wronskian_cosine_coefficients(n_pairs, z)
-        scale = np.exp((center + _CONTOUR_RADIUS) * d + top)
-        value = scale * np.sum((table @ b) * cosines, axis=1)
-        magnitude = scale * np.sum((table_abs @ np.abs(b)) * np.abs(cosines), axis=1)
-        return value, magnitude
+        scales = np.exp(np.multiply.outer(centers + _CONTOUR_RADIUS, d) + top)
+        values = np.empty(scales.shape, dtype=complex)
+        magnitudes = np.empty(scales.shape)
+        for row, scale in enumerate(scales):
+            b = weights[row, :, None] * _wronskian_cosine_coefficients(n_pairs, z[row])
+            values[row] = scale * np.sum((table @ b) * cosines, axis=1)
+            magnitudes[row] = scale * np.sum((table_abs @ np.abs(b)) * np.abs(cosines), axis=1)
+        return values, magnitudes
 
     return residue
 
@@ -330,18 +349,18 @@ def _density_residue(n_pairs: int, log_cutoff: float, thetas):
 def _residue_series(residue, truncation_K: int, *closed_forms):
     """(value, error) of a residue series, the pair `_line_quadrature` returns.
 
-    `residue(center)` returns the residue at `center` and the summed
-    magnitudes of the terms that formed it.  `value` is the sum of the
-    `closed_forms` (residues known exactly) plus the residues at -3/2, ...,
-    -(2K+1)/2.  `error` is |residue| at -(2K+3)/2, the truncation tail, plus
-    the rounding floor: eps times the summed magnitudes of the terms, the
-    closed forms and the residues' own.
+    `residue(centers)` returns the residue at each of `centers` and the summed
+    magnitudes of the terms that formed it, one row per center.  `value` is
+    the sum of the `closed_forms` (residues known exactly) plus the residues at
+    -3/2, ..., -(2K+1)/2.  `error` is |residue| at -(2K+3)/2, the truncation
+    tail, plus the rounding floor: eps times the summed magnitudes of the
+    terms, the closed forms and the residues' own.
     """
+    res, sizes = residue(-(2 * np.arange(1, truncation_K + 2) + 1) / 2.0)
     total = magnitude = 0.0
-    for k in range(1, truncation_K + 1):
-        res, size = residue(-(2 * k + 1) / 2.0)
-        total, magnitude = total + res, magnitude + size
-    tail = np.abs(residue(-(2 * truncation_K + 3) / 2.0)[0])
+    for k in range(truncation_K):
+        total, magnitude = total + res[k], magnitude + sizes[k]
+    tail = np.abs(res[-1])
     value = sum(closed_forms) + np.real(total)
     return value, tail + _EPS * (sum(np.abs(f) for f in closed_forms) + magnitude)
 
@@ -426,8 +445,9 @@ def _line_quadrature(n_pairs: int, log_cutoff: float, theta: float, c: float):
 
     Returns (value, error estimate), both still to be divided by the ratio:
     the last panel's magnitude, which bounds the remainder, plus the rounding
-    floor, as each term is the exponential of r d and 4(N+1) log-Gamma terms
-    of size up to (|r|+N) log(|r|+2N+1), and errs by eps times their sum.
+    floor, as each term is the exponential of r d and of at most 4(N+1)
+    log-Gamma terms of size up to (|r|+N) log(|r|+2N+1), and errs by eps
+    times their sum.
     """
     d = gap_margin(n_pairs, log_cutoff, theta)
     kappa = _KAPPA0 / _leading_power(n_pairs)

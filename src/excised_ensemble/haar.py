@@ -20,6 +20,7 @@ from __future__ import annotations
 import csv
 
 import numpy as np
+import numpy.random  # noqa: F401  numpy loads it lazily; importing it here keeps that out of the first draw
 
 from .errors import DomainError
 

@@ -1,6 +1,14 @@
 """Complex-capable special functions: log-Gamma, Barnes G, and Jacobi
 polynomials of general (complex) order.
 
+log-Gamma is the principal branch by the scheme of Hare (J. Algorithms 25,
+1997), the one scipy.special.loggamma implements: Stirling's series with eight
+Bernoulli terms where Re z > 7 or |Im z| > 7; elsewhere an upward shift to
+Re > 7, the branch of the shift product's logarithm counted from the turns of
+its argument; and the reflection formula for Re z < 0.1.  The shifts of an
+array run in lockstep, each entry taking its own number of steps, so no entry
+depends on the others.  Real positive scalars go to math.lgamma.
+
 Jacobi polynomials are evaluated by one explicit sum (DLMF 18.5.7), which is a
 polynomial in the orders alpha, beta and so holds for any complex values: no
 order needs a separate route, and nothing divides by an order.
@@ -8,11 +16,10 @@ order needs a separate route, and nothing divides by an order.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
-from math import factorial
 
 import numpy as np
-from scipy.special import loggamma as _loggamma
 
 from .errors import DomainError
 
@@ -37,22 +44,115 @@ _BARNES_COEFFS = (
 _BARNES_SHIFT = 32.0
 
 
+_HALF_LOG_2PI = 0.5 * math.log(2.0 * math.pi)
+_LOG_PI = math.log(math.pi)
+# B_2k / (2k (2k-1)) for k = 8, ..., 2: Stirling's series in z^-2 after its leading 1/12
+_STIRLING_COEFFS = (
+    -2.955065359477124183e-2,
+    6.4102564102564102564e-3,
+    -1.9175269175269175269e-3,
+    8.4175084175084175084e-4,
+    -5.952380952380952381e-4,
+    7.9365079365079365079e-4,
+    -2.7777777777777777778e-3,
+)
+_STIRLING_FROM = 7.0
+_REFLECT_BELOW = 0.1
+
+
+def _log(z):
+    """Principal logarithm of a complex array, from real ufuncs: numpy
+    vectorizes those and not its complex log, which is several times slower."""
+    out = np.empty_like(z)
+    np.log(np.hypot(z.real, z.imag), out=out.real)
+    np.arctan2(z.imag, z.real, out=out.imag)
+    return out
+
+
+def _stirling(z):
+    """log Gamma(z) by Stirling's series; accurate where Re z > 7 or |Im z| > 7."""
+    rz = 1.0 / z
+    rzz = rz * rz
+    series = _STIRLING_COEFFS[0] * rzz
+    for coeff in _STIRLING_COEFFS[1:]:
+        series += coeff
+        series *= rzz
+    series += 1.0 / 12.0
+    series *= rz
+    out = z - 0.5
+    out *= _log(z)
+    out -= z
+    out += series
+    out += _HALF_LOG_2PI
+    return out
+
+
+def _log_shift_product(w):
+    """(n, log(w (w+1) ... (w+n-1))) for Re w >= 0.1, n per entry the fewest
+    steps to Re w + n > 7.  Each factor has Re > 0 and the sign of Im w, so it
+    turns the running product by less than pi/2, always the same way, and the
+    product's principal logarithm has lost 2 pi each time the product crosses
+    the real axis to the side opposite w."""
+    steps = np.floor(_STIRLING_FROM - w.real) + 1.0
+    prod = w.copy()
+    imag = np.empty((int(np.max(steps, initial=1.0)), w.size))
+    imag[0] = w.imag
+    for k in range(1, len(imag)):
+        prod *= np.where(k < steps, w + k, 1.0)
+        imag[k] = prod.imag
+    crossed = imag * np.copysign(1.0, w.imag) < 0
+    turns = np.count_nonzero(crossed[1:] > crossed[:-1], axis=0)
+    out = _log(prod)
+    out.imag += np.copysign(2.0 * np.pi, w.imag) * turns
+    return steps, out
+
+
+def _log_pi_over_sin(z):
+    """log(pi / sin(pi z)) on the branch of the reflection formula
+    log Gamma(z) = log(pi / sin(pi z)) - log Gamma(1 - z).  sin(pi z) is
+    (-1)^m sin(pi (z - m)), m the nearest integer to Re z, taken by its real
+    and imaginary parts; the latter keeps the sign of a zero Im z, which picks
+    the side of the cut on the negative real axis.  Raises DomainError where
+    it vanishes, at the poles."""
+    x, y = z.real, z.imag
+    m = np.round(x)
+    frac = x - m
+    poles = (frac == 0) & (y == 0)
+    if poles.any():
+        raise DomainError(f"log_gamma evaluated at a pole of Gamma, z = {float(x[poles][0])!r}")
+    sign = np.pi * (1.0 - 2.0 * np.mod(m, 2.0))
+    a, b = frac * sign, y * sign
+    sin = np.empty_like(z)
+    np.multiply(np.sin(a), np.cosh(b), out=sin.real)
+    np.multiply(np.cos(a), np.sinh(b), out=sin.imag)
+    out = _log(sin)
+    out.imag -= np.copysign(2.0 * np.pi, y) * np.floor(0.5 * x + 0.25)
+    return _LOG_PI - out
+
+
 def log_gamma(z):
     """Principal branch of log Gamma(z); exp of the result is Gamma(z).
 
     Accepts complex scalars or arrays.  Raises DomainError at the poles
-    (nonpositive real integers).
+    (nonpositive real integers) and at an argument that is not finite.
     """
+    if isinstance(z, (int, float)) and 0 < z < math.inf:
+        return complex(math.lgamma(z))
     arr = np.asarray(z, dtype=complex)
-    poles = (arr.imag == 0) & (arr.real <= 0) & (arr.real == np.round(arr.real))
-    if np.any(poles):
-        raise DomainError("log_gamma evaluated at a pole of Gamma")
-    out = _loggamma(arr)
+    if not np.isfinite(arr).all():
+        raise DomainError(f"log_gamma requires a finite argument, got {complex(arr[~np.isfinite(arr)][0])!r}")
+    z = arr.ravel()
+    small_im = np.abs(z.imag) <= _STIRLING_FROM
+    reflect = small_im & (z.real < _REFLECT_BELOW)
+    w = np.where(reflect, 1.0 - z, z)
+    near = small_im & (w.real <= _STIRLING_FROM)
+    steps, log_shift = _log_shift_product(w[near])
+    w[near] += steps
+    out = _stirling(w)
+    out[near] -= log_shift
+    out[reflect] = _log_pi_over_sin(z[reflect]) - out[reflect]
+    out = out.reshape(arr.shape)
     return complex(out) if arr.ndim == 0 else out
-
-
-def _log_gamma_real(x: float) -> float:
-    return _loggamma(complex(x)).real
 
 
 def log_barnes_g(z: float) -> float:
@@ -65,7 +165,7 @@ def log_barnes_g(z: float) -> float:
     if not z > 0:
         raise DomainError("barnes_g requires z > 0")
     n = max(0, int(np.ceil(_BARNES_SHIFT - z)))
-    shift = sum(_log_gamma_real(z + j) for j in range(n))
+    shift = sum(math.lgamma(z + j) for j in range(n))
     y = z + n - 1.0
     out = (
         y * y * (0.5 * np.log(y) - 0.75)
@@ -111,7 +211,7 @@ def jacobi_p(order: JacobiOrder, x):
     n, a, b = order.n, order.alpha, order.beta
     x = np.asarray(x, dtype=complex)
     y, w = (x - 1) / 2, (x + 1) / 2
-    term = total = 1.0 / factorial(n)
+    term = total = 1.0 / math.factorial(n)
     for s in range(1, n + 1):
         term = term * ((n + b - s + 1) * (n - s + 1) / s) * y
         total = term + (a + s) * (w * total)

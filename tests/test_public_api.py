@@ -1,7 +1,10 @@
 import ast
 import importlib
 import inspect
+import os
 import pkgutil
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -75,3 +78,19 @@ def test_every_public_name_has_a_caller_or_is_a_named_oracle():
     exported = {name for module in WITH_ALL for name in module.__all__}
     unreferenced = exported - _referenced_names()
     assert unreferenced == ORACLES
+
+
+def test_cli_start_up_imports_no_scipy():
+    # every run starts cold, and scipy.special alone took longer to import than
+    # most runs spend working; the sampler's numpy.random is loaded up front
+    code = (
+        "import sys\n"
+        "import excised_ensemble.cli\n"
+        "excised_ensemble.cli.build_parser()\n"
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
+        "print('numpy.random' in sys.modules)\n"
+    )
+    src = str(Path(excised_ensemble.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True)
+    assert proc.stdout.split("\n")[:2] == ["[]", "True"]

@@ -1,9 +1,12 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy.special import eval_jacobi, gammaln, roots_jacobi
+from scipy.special import eval_jacobi, gammaln, loggamma, roots_jacobi
 
+from excised_ensemble import analytic
 from excised_ensemble.errors import DomainError
 from excised_ensemble.special_functions import (
     JacobiOrder,
@@ -34,7 +37,7 @@ class TestLogGamma:
         assert log_gamma(50.5).real == pytest.approx(146.5192554907206272, rel=1e-13)
 
     def test_pole_rejected(self):
-        for z in (0.0, -1.0, -7.0):
+        for z in (0.0, -1.0, -7.0, complex(-3.0, 0.0), complex(-3.0, -0.0), np.array([2.5, -2.0, 1.0 + 1j])):
             with pytest.raises(DomainError):
                 log_gamma(z)
 
@@ -54,6 +57,107 @@ class TestLogGamma:
         out = log_gamma(zs)
         assert out.shape == zs.shape
         assert out[0] == pytest.approx(0.0, abs=1e-14)
+
+    @pytest.mark.parametrize(
+        "z,shown",
+        [
+            (math.nan, "nan"),
+            (math.inf, "inf"),
+            (-math.inf, "inf"),
+            (complex(1.0, math.inf), "inf"),
+            (complex(math.nan, 0.0), "nan"),
+            (np.array([0.5, 2.0 + 1j, math.nan]), "nan"),
+        ],
+    )
+    def test_non_finite_argument_rejected(self, z, shown):
+        with pytest.raises(DomainError, match=f"finite argument.*{shown}"):
+            log_gamma(z)
+
+
+EPS = np.finfo(float).eps
+# the 128-node circles of radius 0.1 around the poles -(2k+1)/2, k <= 40, of
+# the residue series
+CIRCLES = np.add.outer(-(2 * np.arange(41) + 1) / 2.0, 0.1 * np.exp(2j * np.pi * np.arange(128) / 128))
+NEGATIVE_REALS = [-0.5, -0.536, -2.5, -14.004]
+
+
+def _circle_arguments(n):
+    """The shifts by 1/2, N, N - 1/2 and N + 1 that the moments, the kernel and
+    the integrand's runs take of the circles."""
+    return np.stack([CIRCLES + 0.5, CIRCLES + n, CIRCLES + (n - 0.5), CIRCLES + (n + 1)])
+
+
+def _parabola_arguments(n, d, monkeypatch):
+    """Every array argument `_line_quadrature` passes to log_gamma at gap margin d."""
+    seen = []
+
+    def spy(z):
+        seen.append(np.array(z).ravel())
+        return log_gamma(z)
+
+    monkeypatch.setattr(analytic, "log_gamma", spy)
+    with np.errstate(all="ignore"):  # the Jacobi sums of N = 35 overflow far along the parabola
+        analytic._line_quadrature(n, (2 * n - 1) * math.log(2.0) - d, math.pi / 2, 0.5)
+    return np.concatenate([z for z in seen if z.size > 1])
+
+
+def _scaled_error(value, reference):
+    return np.max(np.abs(value - reference) / np.maximum(1.0, np.abs(reference)))
+
+
+class TestLogGammaOracles:
+    """log_gamma against scipy.special.loggamma, which implements the same
+    scheme, and against 40-digit mpmath, on the arguments the package takes."""
+
+    @pytest.mark.parametrize("n", [1, 2, 12, 35])
+    def test_circles_match_scipy(self, n):
+        z = _circle_arguments(n)
+        assert _scaled_error(log_gamma(z), loggamma(z)) <= 48 * EPS
+
+    @pytest.mark.parametrize("n", [1, 2, 12, 35])
+    @pytest.mark.parametrize("d", [1e-12, 1.0, 30.0])
+    def test_parabola_nodes_match_scipy(self, n, d, monkeypatch):
+        z = _parabola_arguments(n, d, monkeypatch)
+        assert _scaled_error(log_gamma(z), loggamma(z)) <= 48 * EPS
+
+    @pytest.mark.parametrize("n", [1, 2, 12, 35])
+    def test_circles_match_mpmath(self, n):
+        mp = pytest.importorskip("mpmath")
+        z = _circle_arguments(n)[:, :, ::16].ravel()
+        with mp.workdps(40):
+            reference = np.array([complex(mp.loggamma(mp.mpc(v.real, v.imag))) for v in z])
+        assert _scaled_error(log_gamma(z), reference) <= 24 * EPS
+
+    @pytest.mark.parametrize("d", [1e-12, 1.0, 30.0])
+    def test_parabola_nodes_match_mpmath(self, d, monkeypatch):
+        mp = pytest.importorskip("mpmath")
+        z = _parabola_arguments(12, d, monkeypatch)[::8]
+        with mp.workdps(40):
+            reference = np.array([complex(mp.loggamma(mp.mpc(v.real, v.imag))) for v in z])
+        assert _scaled_error(log_gamma(z), reference) <= 24 * EPS
+
+    @pytest.mark.parametrize("x", NEGATIVE_REALS)
+    @pytest.mark.parametrize("zero", [0.0, -0.0], ids=["plus0", "minus0"])
+    def test_negative_real_axis_takes_scipy_branch(self, x, zero):
+        z = complex(x, zero)
+        assert log_gamma(z).imag == loggamma(z).imag
+        assert log_gamma(np.array([z, 3.0 + 1j]))[0].imag == loggamma(z).imag
+        assert log_gamma(z).real == pytest.approx(loggamma(z).real, rel=32 * EPS)
+
+    def test_scalar_and_array_calls_agree(self):
+        # one of each class: Stirling (far right, far up, far left and up),
+        # shifted, reflected, the negative real axis, and a real positive float
+        z = np.array([12.3 + 0.4j, 1.5 + 9.0j, -30.2 + 8.0j, 0.7 - 2.0j, 3.0 + 0.0j,
+                      -4.3 + 0.2j, -0.5 - 6.5j, -2.5 + 0.0j, 0.05 + 0.0j, 40.0 + 0.0j])
+        together = log_gamma(z)
+        one_at_a_time = np.array([log_gamma(complex(v)) for v in z])
+        real_scalars = np.array([log_gamma(float(v.real)) for v in z if v.imag == 0 and v.real > 0])
+        # each entry is computed alone; only the last bits of numpy's vector and scalar loops differ
+        assert _scaled_error(together, one_at_a_time) <= 8 * EPS
+        assert _scaled_error(together[(z.imag == 0) & (z.real > 0)], real_scalars) <= 8 * EPS
+        assert np.all(np.abs(together.imag - one_at_a_time.imag) < 1.0)  # one branch
+        assert log_gamma(z.reshape(2, 5)).shape == (2, 5)
+        assert isinstance(log_gamma(2.5), complex) and isinstance(log_gamma(2.5 + 1j), complex)
 
 
 class TestBarnesG:
