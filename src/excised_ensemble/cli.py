@@ -168,7 +168,7 @@ def _cmd_ap_count(args) -> int:
         writer.writerow(["p", "a_p", "lambda_p"])
         for p, ap in a_p.items():
             if p <= args.p_max:
-                writer.writerow([p, ap, repr(ap / np.sqrt(p))])
+                writer.writerow([p, ap, repr(float(ap / np.sqrt(p)))])
     extra = {}
     if args.euler_s is not None:
         result = curve_model.a_s_truncated(a_p, params.conductor_M, params.sign_omega, args.euler_s, args.p_max)

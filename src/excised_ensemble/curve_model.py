@@ -1,7 +1,8 @@
 """Elliptic-curve calibration pipeline: matrix sizes from the twist bound,
 cutoff constants from the Waldspurger-type discretization, point counts over
-F_p (baby-step giant-step on E or its quadratic twist), and the arithmetic
-constant a_s(E) as a truncated Euler product of those counts.
+F_p (baby-step giant-step on E or its quadratic twist, run for all primes in
+lockstep as numpy arrays), and the arithmetic constant a_s(E) as a truncated
+Euler product of those counts.
 
 Only prime conductors are supported.  The curve constants kappa_E, r1,
 a_{-1/2} and delta are inputs (shipped for the conductor-11 example family);
@@ -11,6 +12,7 @@ deriving them is out of scope.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 from math import isqrt
 from typing import Optional
 
@@ -239,105 +241,180 @@ def _count_points_character_sum(weierstrass, p: int) -> int:
 # exactly one multiple in the Hasse interval (Cremona-Sutherland 2010,
 # extending Mestre), so the baby-step giant-step search always ends.
 _MESTRE_BOUND = 229
+# Rows per kernel call, whose baby-step tables hold rows x (m + 1) residues,
+# m ~ 1.4 p^(1/4)
+_BSGS_ROWS = 4096
+# Points tried at each prime still open in every pass after the first
+_RETRY_POINTS = 8
 
 
-def _ec_add(P, Q, a: int, p: int):
-    """P + Q on y^2 = x^3 + a x + b over F_p; None is the point at infinity."""
-    if P is None:
-        return Q
-    if Q is None:
-        return P
-    x1, y1 = P
-    x2, y2 = Q
-    if x1 == x2:
-        if (y1 + y2) % p == 0:
-            return None
-        slope = (3 * x1 * x1 + a) * pow(2 * y1, -1, p) % p
-    else:
-        slope = (y2 - y1) * pow(x2 - x1, -1, p) % p
-    x3 = (slope * slope - x1 - x2) % p
-    return x3, (slope * (x1 - x3) - y1) % p
+def _bits(n) -> list:
+    """The binary digits of every entry of n >= 0 as masks, lowest first."""
+    return [(n >> i) & 1 == 1 for i in range(int(n.max()).bit_length())]
 
 
-def _ec_mul(n: int, P, a: int, p: int):
-    """n P by double-and-add."""
-    if n < 0:
-        n, P = -n, (P[0], -P[1] % p)
-    result = None
-    while n:
-        if n & 1:
-            result = _ec_add(result, P, a, p)
-        P = _ec_add(P, P, a, p)
-        n >>= 1
+def _pow_mod(base, bits, p):
+    """base^e mod p per row, with e given by `_bits(e)`."""
+    result = np.ones_like(base)
+    for bit in bits:
+        result = np.where(bit, result * base % p, result)
+        base = base * base % p
     return result
 
 
-def _hasse_traces(P, a: int, p: int) -> set:
-    """Every t with |t| <= 2 sqrt(p) and (p + 1 - t) P = O, or an empty set
-    when P has order at most 2m, which leaves several such t.
+def _ec_add(P, Q, a, p, inverse_bits):
+    """P + Q per row on y^2 = x^3 + a x + b over F_p.
 
-    Baby steps store x(jP) for j = 1..m; giant steps write t = k g + j' with
-    g = 2m + 1 and |j'| <= m, so (p + 1 - k g) P = +-jP is an x lookup.
-    The sign is not tracked: each of k g +- j is checked by one scalar
-    multiplication instead.
+    A point is an (x, y, is_infinity) triple of arrays.  The slope's
+    denominator is inverted as the Fermat power with exponent bits
+    `inverse_bits` = `_bits(p - 2)`.  Where it is 0, the sum is the point at
+    infinity or one of P, Q is, and the slope is not used.
     """
-    bound = isqrt(4 * p)
-    m = isqrt(bound) + 1
+    (x1, y1, o1), (x2, y2, o2) = P, Q
+    tangent = x1 == x2
+    num = np.where(tangent, 3 * (x1 * x1 % p) + a, y2 - y1) % p
+    den = np.where(tangent, 2 * y1, x2 - x1) % p
+    slope = num * _pow_mod(den, inverse_bits, p) % p
+    x3 = (slope * slope - x1 - x2) % p
+    y3 = (slope * (x1 - x3) - y1) % p
+    o3 = tangent & ((y1 + y2) % p == 0)
+    return (
+        np.where(o1, x2, np.where(o2, x1, x3)),
+        np.where(o1, y2, np.where(o2, y1, y3)),
+        np.where(o1, o2, ~o2 & o3),
+    )
+
+
+def _ec_multiply(n, P, add):
+    """n P per row, n >= 0, by right-to-left double-and-add."""
+    result = (np.zeros_like(P[0]), np.zeros_like(P[0]), np.ones(len(n), dtype=bool))
+    for bit in _bits(n):
+        result = tuple(np.where(bit, s, r) for s, r in zip(add(result, P), result))
+        P = add(P, P)
+    return result
+
+
+def _bsgs_traces(p, A, d, x0):
+    """Baby-step giant-step in lockstep, one row per (p, x0) with
+    d = x0^3 + A x0 + B != 0 mod p.
+
+    Row i works on P = (d x0, d^2) on Y^2 = X^3 + A d^2 X + B d^3, which is
+    E at p when d is a square mod p and its quadratic twist, with trace
+    -a(p), otherwise.  Baby steps tabulate x and y of jP, j = 1..m, with
+    m = isqrt(isqrt(4p)) + 1; giant steps write t = k g + j' with g = 2m + 1
+    and |j'| <= m, so (p + 1 - k g) P = j'P is a match in the table whose y
+    gives the sign of j'.  Every t so found has (p + 1 - t) P = O, with no
+    scalar multiplication to confirm it.  Where P has order above 2m, each
+    such t is found once.  Where it has order at most 2m, every giant step
+    inside the Hasse interval finds one, so the row finds several.
+
+    Returns (a, fixed) per row: a(p) read from t, and whether that t was the
+    only |t| <= 2 sqrt(p) with (p + 1 - t) P = O.
+    """
+    rows = np.arange(len(p))
+    bound = np.array([isqrt(4 * q) for q in p.tolist()])
+    m = np.array([isqrt(b) + 1 for b in bound.tolist()])
     g = 2 * m + 1
-    baby = {}
-    R = P
-    for j in range(1, m + 1):
-        # a repeated x or a 2-torsion point means the order of P is at most 2m
-        if R is None or R[0] in baby or R[1] == 0:
-            return set()
-        baby[R[0]] = j
-        R = _ec_add(R, P, a, p)
     top = (bound + m) // g
-    step = _ec_mul(-g, P, a, p)
-    R = _ec_mul(p + 1 + top * g, P, a, p)  # (p + 1 - k g) P at k = -top
-    traces = set()
-    for k in range(-top, top + 1):
-        if R is None:
-            candidates = (k * g,)
-        elif R[0] in baby:
-            candidates = (k * g + baby[R[0]], k * g - baby[R[0]])
-        else:
-            candidates = ()
-        for t in candidates:
-            if abs(t) <= bound and _ec_mul(p + 1 - t, P, a, p) is None:
-                traces.add(t)
-        R = _ec_add(R, step, a, p)
-    return traces
+    add = partial(_ec_add, a=A * (d * d % p) % p, p=p, inverse_bits=_bits(p - 2))
+    P = (d * x0 % p, d * d % p, np.zeros(len(p), dtype=bool))
+    chain = [P]
+    for _ in range(m.max()):
+        chain.append(add(chain[-1], P))
+    x, y, inf = (np.stack(c, axis=1) for c in zip(*chain))  # column j - 1 holds jP
+    baby = (np.arange(x.shape[1]) < m[:, None]) & ~inf
+
+    def multiple(j):
+        return tuple(c[rows, j - 1] for c in (x, y, inf))
+
+    gx, gy, g_inf = add(multiple(m), multiple(m + 1))  # gP = mP + (m + 1)P
+    step = (gx, -gy % p, g_inf)
+    R = _ec_multiply(p + 1 + top * g, P, add)  # (p + 1 - k g) P at k = -top
+    found = np.zeros(len(p), dtype=np.int64)
+    trace = np.zeros(len(p), dtype=np.int64)
+    for i in range(2 * top.max() + 1):
+        if i:
+            R = add(R, step)
+        match = baby & (x == R[0][:, None])
+        j = match.argmax(axis=1) + 1
+        t = (i - top) * g + np.where(R[2], 0, np.where(y[rows, j - 1] == R[1], j, -j))
+        hit = (R[2] | match.any(axis=1)) & (i <= 2 * top) & (np.abs(t) <= bound)
+        found += hit
+        trace = np.where(hit, t, trace)
+    square = _pow_mod(d, _bits((p - 1) // 2), p) == 1
+    return np.where(square, trace, -trace), found == 1
 
 
-def _count_points_bsgs(c4: int, c6: int, p: int) -> int:
-    """a(p) at a prime p > 229 of good reduction, from one point of E or of
-    its quadratic twist whose order pins #E down within the Hasse interval.
+def _bsgs_counts(c4: int, c6: int, primes: list) -> list:
+    """a(p) at primes p > 229 of good reduction, all of them in lockstep.
 
     On the short model y^2 = f(x) = x^3 + A x + B, A = -27 c4 and B = -54 c6,
-    each x0 with d = f(x0) != 0 gives the point (d x0, d^2) on
-    Y^2 = X^3 + A d^2 X + B d^3, which is E when d is a square mod p and the
-    twist of E, with trace -a(p), otherwise.
+    the first pass tries at each prime the least x0 >= 0 with f(x0) != 0,
+    and each later pass the next `_RETRY_POINTS` such x0 at the primes that
+    no point has fixed yet.  Residues are int64 while p < 2^31, so that
+    products stay below 2^62, and Python integers (object arrays) above.
     """
-    A = -27 * c4 % p
-    B = -54 * c6 % p
-    for x0 in range(p):
-        d = (x0 * x0 * x0 + A * x0 + B) % p
-        if d == 0:
-            continue
-        traces = _hasse_traces((d * x0 % p, d * d % p), A * d * d % p, p)
-        if len(traces) == 1:
-            (t,) = traces
-            return t if pow(d, (p - 1) // 2, p) == 1 else -t
-    raise ArithmeticError(f"no point pins down #E(F_{p}); impossible above p = {_MESTRE_BOUND}")
+    dtype = np.int64 if max(primes) < 2**31 else object
+    p = np.array(primes, dtype=dtype)
+    A = np.array([-27 * c4 % q for q in primes], dtype=dtype)
+    B = np.array([-54 * c6 % q for q in primes], dtype=dtype)
+    counts = np.zeros(len(p), dtype=np.int64)
+    pending = np.arange(len(p))
+    tried = np.full(len(p), -1)  # the last x0 tried at each prime
+    points = 1
+    while pending.size:
+        q = p[pending, None]
+        x0 = tried[pending, None] + 1 + np.arange(points + 3)  # f has at most 3 roots
+        if (x0 >= q).any():
+            raise ArithmeticError(f"no point pins down #E(F_p); impossible above p = {_MESTRE_BOUND}")
+        d = (x0 * x0 % q * x0 % q + A[pending, None] * x0 % q + B[pending, None]) % q
+        use = (d != 0) & (np.cumsum(d != 0, axis=1) <= points)
+        tried[pending] = np.where(use, x0, -1).max(axis=1)
+        row_prime, d, x0 = pending[np.nonzero(use)[0]], d[use], x0[use]
+        a = np.empty(len(row_prime), dtype=np.int64)
+        fixed = np.empty(len(row_prime), dtype=bool)
+        for s in range(0, len(row_prime), _BSGS_ROWS):
+            chunk = slice(s, s + _BSGS_ROWS)
+            rp = row_prime[chunk]
+            a[chunk], fixed[chunk] = _bsgs_traces(p[rp], A[rp], d[chunk], x0[chunk])
+        done, first = np.unique(row_prime[fixed], return_index=True)
+        counts[done] = a[fixed][first]
+        pending = np.setdiff1d(pending, done)
+        points = _RETRY_POINTS
+    return counts.tolist()
+
+
+def _counts_at(weierstrass, primes: list) -> dict:
+    """{p: a(p)} at the given primes, in their order, each counted once:
+    p = 2, 3 by `count_points_double_loop`, p <= 229 and the primes dividing
+    c4^3 - c6^2 (1728 times the discriminant: bad reduction, the conductor
+    among them) by the character sum, every other prime in one
+    `_bsgs_counts` batch."""
+    b2, b4, b6 = _b_invariants(weierstrass)
+    c4 = b2 * b2 - 24 * b4
+    c6 = -b2 * b2 * b2 + 36 * b2 * b4 - 216 * b6
+    disc = c4**3 - c6**2
+    counts, batch = {}, []
+    for p in primes:
+        if p in (2, 3):
+            counts[p] = count_points_double_loop(weierstrass, p)
+        elif p <= _MESTRE_BOUND or disc % p == 0:
+            counts[p] = _count_points_character_sum(weierstrass, p)
+        else:
+            batch.append(p)
+    if batch:
+        counts.update(zip(batch, _bsgs_counts(c4, c6, batch)))
+    return {p: counts[p] for p in primes}
 
 
 def count_points_fp(weierstrass, p: int) -> int:
-    """a(p) = p + 1 - #E(F_p).
+    """a(p) = p + 1 - #E(F_p), by the dispatch of `point_counts` for one prime.
 
     At primes p > 229 of good reduction this is baby-step giant-step on E or
     its quadratic twist, O(p^(1/4)) group operations per prime (Mestre;
-    Cohen, A Course in Computational Algebraic Number Theory, 7.4).  Below
+    Cohen, A Course in Computational Algebraic Number Theory, 7.4), run as
+    a numpy kernel whose fixed cost per call (about 10 ms at p = 3e4) a
+    batch of primes shares: count many primes with `point_counts`.  Below
     that, and at primes dividing c4^3 - c6^2 (the conductor among them), it
     sums the quadratic character of the cubic, O(p); at the conductor this
     reproduces the multiplicative-reduction coefficient a(M) = +-1.  p = 2
@@ -346,16 +423,8 @@ def count_points_fp(weierstrass, p: int) -> int:
     """
     if not _is_prime(p):
         raise DomainError("p must be prime")
-    if p in (2, 3):
-        return count_points_double_loop(weierstrass, p)
-    if p <= _MESTRE_BOUND:
-        return _count_points_character_sum(weierstrass, p)
-    b2, b4, b6 = _b_invariants(weierstrass)
-    c4 = b2 * b2 - 24 * b4
-    c6 = -b2 * b2 * b2 + 36 * b2 * b4 - 216 * b6
-    if (c4**3 - c6**2) % p == 0:  # 1728 times the discriminant: bad reduction
-        return _count_points_character_sum(weierstrass, p)
-    return _count_points_bsgs(c4, c6, p)
+    p = int(p)
+    return _counts_at(weierstrass, [p])[p]
 
 
 def _euler_primes(p_max: int, conductor_M: int) -> list:
@@ -372,7 +441,7 @@ def _euler_primes(p_max: int, conductor_M: int) -> list:
 def point_counts(weierstrass, p_max: int, conductor_M: int) -> dict:
     """{p: a(p)} over the primes of `a_s_truncated(..., p_max)`: every prime
     p <= p_max, and the conductor when it exceeds p_max."""
-    return {p: count_points_fp(weierstrass, p) for p in _euler_primes(p_max, conductor_M)}
+    return _counts_at(weierstrass, _euler_primes(p_max, conductor_M))
 
 
 @dataclass(frozen=True)

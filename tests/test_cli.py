@@ -353,18 +353,32 @@ class TestApCountCommand:
         assert not out.exists()
 
     def test_counts_each_prime_once(self, tmp_path, monkeypatch):
+        # spy on the three counters that `point_counts` dispatches to: the
+        # baby-step giant-step kernel takes its primes as one batch
         counted = []
-        original = curve_model.count_points_fp
+        for name, primes_of in [("count_points_double_loop", lambda w, p: [p]),
+                                ("_count_points_character_sum", lambda w, p: [p]),
+                                ("_bsgs_counts", lambda c4, c6, primes: primes)]:
+            original = getattr(curve_model, name)
 
-        def counting(weierstrass, p):
-            counted.append(p)
-            return original(weierstrass, p)
+            def counting(*args, original=original, primes_of=primes_of):
+                counted.extend(primes_of(*args))
+                return original(*args)
 
-        monkeypatch.setattr(curve_model, "count_points_fp", counting)
+            monkeypatch.setattr(curve_model, name, counting)
         code = run(["ap-count", "--config", E11_CFG, "--p-max", 1000, "--euler-s", -0.5,
                     "--out", tmp_path / "ap.csv", "--summary", tmp_path / "ap.json"])
         assert code == 0
         assert len(counted) == 168 == len(set(counted))
+
+    def test_lambda_p_is_a_plain_float(self, tmp_path):
+        # numpy 2 once wrote this column as the text np.float64(...)
+        out = tmp_path / "ap.csv"
+        code = run(["ap-count", "--config", E11_CFG, "--p-max", 1000, "--out", out, "--summary", tmp_path / "ap.json"])
+        assert code == 0
+        rows = [line.split(",") for line in out.read_text().splitlines()[1:]]
+        assert len(rows) == 168
+        assert all(float(lam) == int(a) / np.sqrt(int(p)) for p, a, lam in rows)
 
 
 class TestCompareCommand:

@@ -1,11 +1,14 @@
 from importlib import resources
+from math import isqrt
 
 import numpy as np
 import pytest
 
+from excised_ensemble import curve_model
 from excised_ensemble.curve_model import (
     CurveFamilyParams,
     _count_points_character_sum,
+    _counts_at,
     _is_prime,
     _sieve,
     a_s_truncated,
@@ -30,6 +33,33 @@ CURVE37 = (0, 0, 1, -1, 0)  # y^2 + y = x^3 - x, conductor 37
 # y^2 = x^3 - x and y^2 = x^3 + 1, with a_p = 0 at half the primes and full
 # 2- or 3-torsion, so many points have too small an order to fix a(p).
 BSGS_CURVES = {"E11": E11_WEIERSTRASS, "37a": CURVE37, "x3-x": (0, 0, 0, -1, 0), "x3+1": (0, 0, 0, 0, 1)}
+
+
+def _e11_newform(n_max):
+    """a_n, n <= n_max, of q prod (1 - q^n)^2 (1 - q^11n)^2 = eta(z)^2 eta(11z)^2,
+    the newform of the isogeny class 11a that E11 lies in: Euler's pentagonal
+    series gives prod (1 - q^n), and numpy FFT products rounded to integers
+    give the rest (exact while their rounding errors stay far below 1/2)."""
+
+    def product(f, g):
+        size = 1 << (2 * n_max).bit_length()
+        exact = np.fft.irfft(np.fft.rfft(f, size) * np.fft.rfft(g, size), size)[: n_max + 1]
+        rounded = np.rint(exact)
+        assert np.abs(exact - rounded).max() < 0.1
+        return rounded
+
+    euler = np.zeros(n_max + 1)
+    euler[0] = 1.0
+    k = np.arange(1, isqrt(2 * n_max) + 2)
+    for pentagonal in (k * (3 * k - 1) // 2, k * (3 * k + 1) // 2):
+        keep = pentagonal <= n_max
+        euler[pentagonal[keep]] = (-1.0) ** k[keep]
+    square = product(euler, euler)
+    square_11 = np.zeros(n_max + 1)
+    square_11[::11] = square[: n_max // 11 + 1]
+    a = np.zeros(n_max + 1, dtype=np.int64)
+    a[1:] = product(square, square_11)[:n_max]
+    return a
 
 
 def _vanishing_constant(delta):
@@ -145,9 +175,56 @@ class TestPointCounting:
 
     @pytest.mark.parametrize("curve", BSGS_CURVES.values(), ids=BSGS_CURVES.keys())
     def test_agrees_with_character_sum_up_to_1e4(self, curve):
-        primes = [int(p) for p in _sieve(10_000) if p >= 5]
-        wrong = [p for p in primes if count_points_fp(curve, p) != _count_points_character_sum(curve, p)]
+        # one batch: mixed baby-step counts, giant-step counts and retries
+        # (the conductor argument only adds a prime above p_max)
+        counts = point_counts(curve, 10_000, 2)
+        assert list(counts) == [int(p) for p in _sieve(10_000)]
+        wrong = [p for p, a in counts.items() if p >= 5 and a != _count_points_character_sum(curve, p)]
         assert wrong == []
+
+    def test_retry_heavy_primes(self, monkeypatch):
+        # on E11 the first point fixing a(p) is the sixth tried at p = 757,
+        # the fifth at 3499 and the fourth at 22511
+        rows = []
+        kernel = curve_model._bsgs_traces
+
+        def spy(p, *args):
+            rows.append(p.tolist())
+            return kernel(p, *args)
+
+        monkeypatch.setattr(curve_model, "_bsgs_traces", spy)
+        primes = [757, 3499, 22511]
+        assert _counts_at(E11_WEIERSTRASS, primes) == {p: _count_points_character_sum(E11_WEIERSTRASS, p) for p in primes}
+        assert len(rows) == 2 and rows[0] == primes
+
+    def test_group_law_in_every_case(self):
+        # y^2 = x^3 + x + 1 over F_23, one case per row; O is the point at
+        # infinity, (4, 0) has order 2, and (3, 10) + (9, 7) = (17, 20),
+        # 2 (3, 10) = (7, 12) are the textbook values
+        O = (0, 0, True)
+        cases = [
+            ((3, 10, False), (9, 7, False), (17, 20, False)),
+            ((3, 10, False), (3, 10, False), (7, 12, False)),
+            ((3, 10, False), (3, 13, False), O),
+            (O, (3, 10, False), (3, 10, False)),
+            ((3, 10, False), O, (3, 10, False)),
+            (O, O, O),
+            ((4, 0, False), (4, 0, False), O),
+            # the coordinates an O carries are never read
+            ((3, 10, False), (3, 13, True), (3, 10, False)),
+            ((3, 13, True), (3, 10, False), (3, 10, False)),
+        ]
+        P, Q, want = (tuple(np.array(c) for c in zip(*points)) for points in zip(*cases))
+        p = np.full(len(cases), 23)
+        x, y, inf = curve_model._ec_add(P, Q, 1, p, curve_model._bits(p - 2))
+        assert inf.tolist() == want[2].tolist()
+        assert (x[~inf].tolist(), y[~inf].tolist()) == (want[0][~inf].tolist(), want[1][~inf].tolist())
+
+    def test_primes_above_2_to_the_31(self):
+        # residues leave int64 for Python integers here; 3037000493 is the
+        # largest prime whose square fits an int64
+        assert count_points_fp(E11_WEIERSTRASS, 2_147_483_659) == -37030
+        assert count_points_fp(E11_WEIERSTRASS, 3_037_000_493) == 93144
 
     def test_bad_primes(self):
         # multiplicative reduction: the count, singular point included, gives +-1
@@ -177,6 +254,29 @@ class TestPointCounting:
         assert point_counts(E11_WEIERSTRASS, 20, 11) == E11_AP
         # the conductor's count rides along when it lies above p_max
         assert point_counts(E11_WEIERSTRASS, 7, 11) == {2: -2, 3: -1, 5: 1, 7: -2, 11: 1}
+
+
+class TestNewformOracle:
+    """`point_counts` on E11 against the coefficients of its newform."""
+
+    @pytest.fixture(scope="class")
+    def newform(self):
+        return _e11_newform(10**6)
+
+    def test_oracle_first_coefficients(self, newform):
+        assert newform[:12].tolist() == [0, 1, -2, -1, 2, 1, 2, -2, 0, -2, -2, 1]
+        assert {p: int(newform[p]) for p in E11_AP} == E11_AP
+
+    def test_every_prime_to_2e5(self, newform):
+        counts = point_counts(E11_WEIERSTRASS, 200_000, 11)
+        assert len(counts) == 17_984
+        assert [p for p, a in counts.items() if a != newform[p]] == []
+
+    def test_window_below_1e6(self, newform):
+        window = [int(p) for p in _sieve(10**6) if p > 10**6 - 5000]
+        counts = _counts_at(E11_WEIERSTRASS, window)
+        assert len(counts) == 360
+        assert [p for p, a in counts.items() if a != newform[p]] == []
 
 
 class TestEulerProduct:

@@ -59,6 +59,9 @@ ORACLES = {
     # of test_ensemble.py::TestSampleExcised and of test_haar.py::TestTridiagonalModel
     "sample_so2n_batch",
     "eigenphases_batch",
+    # the one-prime form of `point_counts`' dispatch, which counts its primes
+    # as one batch; test_acceptance.py::test_c13_arithmetic checks it prime by prime
+    "count_points_fp",
 }
 
 
