@@ -166,9 +166,9 @@ def _cmd_ap_count(args) -> int:
     with open(args.out, "w", newline="\n") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(["p", "a_p", "lambda_p"])
-        for p, ap in a_p.items():
-            if p <= args.p_max:
-                writer.writerow([p, ap, repr(float(ap / np.sqrt(p)))])
+        p, a = np.array(list(a_p.items())).T
+        keep = p <= args.p_max  # not the conductor above p_max
+        writer.writerows(zip(p[keep].tolist(), a[keep].tolist(), (a / np.sqrt(p))[keep].tolist()))
     extra = {}
     if args.euler_s is not None:
         result = curve_model.a_s_truncated(a_p, params.conductor_M, params.sign_omega, args.euler_s, args.p_max)

@@ -221,7 +221,7 @@ def _b_invariants(weierstrass) -> tuple:
 
 def _count_points_character_sum(weierstrass, p: int) -> int:
     """a(p) by completing the square and summing the quadratic character of
-    the resulting cubic over all of F_p; O(p), for p >= 5.
+    the resulting cubic over all of F_p; O(p), exact for every odd p.
 
     At a prime of bad reduction the count (singular point included) gives
     the reduction's coefficient: +-1 when multiplicative, 0 when additive.
@@ -386,7 +386,7 @@ def _bsgs_counts(c4: int, c6: int, primes: list) -> list:
 
 def _counts_at(weierstrass, primes: list) -> dict:
     """{p: a(p)} at the given primes, in their order, each counted once:
-    p = 2, 3 by `count_points_double_loop`, p <= 229 and the primes dividing
+    p = 2 by `count_points_double_loop`, odd p <= 229 and the primes dividing
     c4^3 - c6^2 (1728 times the discriminant: bad reduction, the conductor
     among them) by the character sum, every other prime in one
     `_bsgs_counts` batch."""
@@ -396,7 +396,7 @@ def _counts_at(weierstrass, primes: list) -> dict:
     disc = c4**3 - c6**2
     counts, batch = {}, []
     for p in primes:
-        if p in (2, 3):
+        if p == 2:
             counts[p] = count_points_double_loop(weierstrass, p)
         elif p <= _MESTRE_BOUND or disc % p == 0:
             counts[p] = _count_points_character_sum(weierstrass, p)
@@ -418,8 +418,8 @@ def count_points_fp(weierstrass, p: int) -> int:
     that, and at primes dividing c4^3 - c6^2 (the conductor among them), it
     sums the quadratic character of the cubic, O(p); at the conductor this
     reproduces the multiplicative-reduction coefficient a(M) = +-1.  p = 2
-    and p = 3 fall back to full two-variable enumeration of the general
-    Weierstrass form, avoiding the characteristic-2/3 transformation.
+    falls back to full two-variable enumeration of the general Weierstrass
+    form, where completing the square fails.
     """
     if not _is_prime(p):
         raise DomainError("p must be prime")
@@ -454,46 +454,42 @@ class EulerProductResult:
     decade_values: dict
 
 
-def _combined_prime_factor(a: int, conductor_M: int, omega: int, s: float, p: int) -> float:
-    """Per-prime factor of a_s(E) with the three displayed brackets merged.
-
-    The leading bracket alone, (1 - 1/p)^(s(s-1)/2), diverges when multiplied
-    over primes (the exponent is 3/8 at s = -1/2); only the combined factor
-    is 1 + O(p^-1)-with-cancellation and yields a convergent product.
-    """
-    lam = a / np.sqrt(p)  # lambda(p), the normalized Dirichlet coefficient
-    lead = (1.0 - 1.0 / p) ** (s * (s - 1.0) / 2.0)
-    if p == conductor_M:
-        z = omega / np.sqrt(conductor_M)
-        return lead * (1.0 - lam * z) ** (-s)
-    zp = 1.0 / np.sqrt(p)
-    plus = (1.0 - lam * zp + zp * zp) ** (-s)
-    minus = (1.0 + lam * zp + zp * zp) ** (-s)
-    return lead * (p / (p + 1.0)) * (1.0 / p + 0.5 * (plus + minus))
-
-
 def a_s_truncated(a_p: dict, conductor_M: int, omega: int, s: float, p_max: int) -> EulerProductResult:
-    """Arithmetic constant a_s(E) as a product over primes p <= p_max.
+    """Arithmetic constant a_s(E) as a product over `_euler_primes(p_max, M)`.
 
-    `a_p` maps each of those primes to a(p), as `point_counts` returns it.
-    The conductor factor is always applied (it is a single prime), even when
-    p_max < M, so `a_p` must hold a(M) too.  `last_decade_increment` reports |value(p_max) - value(p_max/10)|
-    as a convergence diagnostic; it is None for p_max < 100, where there is no
-    earlier decade to compare with.
+    `a_p` maps each of those primes to a(p), as `point_counts` returns it, or
+    DomainError names the first it lacks.  The conductor's factor is always
+    applied, so `a_p` must hold a(M) even when p_max < M.  `decade_values[10^k]`
+    is the product over primes <= 10^k, for each 10^k <= p_max that a prime of
+    the product exceeds, and `decade_values[p_max]` is the value.
+    `last_decade_increment`, a convergence diagnostic, is |value - the entry
+    at the largest key <= p_max/10|, or None if there is none (p_max < 100).
     """
     if not np.isfinite(s):
         raise DomainError(f"a_s(E) needs a finite s, not {s}")
     primes = _euler_primes(p_max, conductor_M)
-    log_total = 0.0
-    decade_values = {}
-    next_decade = 10
-    for p in primes:
-        while next_decade <= p_max and p > next_decade:
-            decade_values[next_decade] = float(np.exp(log_total))
-            next_decade *= 10
-        log_total += np.log(_combined_prime_factor(a_p[p], conductor_M, omega, s, p))
-    value = float(np.exp(log_total))
-    decade_values[p_max] = value
+    try:
+        a = np.array([a_p[p] for p in primes], dtype=float)
+    except KeyError as missing:
+        raise DomainError(f"a_p has no a(p) at the prime {missing.args[0]}") from None
+    p = np.array(primes, dtype=float)
+    # The three displayed brackets merged per prime, as logs: the leading one
+    # alone, (1 - 1/p)^(s(s-1)/2), diverges over primes (exponent 3/8 at
+    # s = -1/2); only the merged factor is 1 + O(p^-1)-with-cancellation and
+    # converges.  Its log is taken by log1p, not numpy's array power, whose
+    # last-ulp errors share a sign and reach 1e-12 of the product at p = 10^6.
+    lam = a / np.sqrt(p)  # lambda(p), the normalized Dirichlet coefficient
+    zp = 1.0 / np.sqrt(p)
+    plus = (1.0 - lam * zp + zp * zp) ** (-s)
+    minus = (1.0 + lam * zp + zp * zp) ** (-s)
+    log_rest = np.log(p / (p + 1.0) * (1.0 / p + 0.5 * (plus + minus)))
+    bad = p == conductor_M
+    log_rest[bad] = -s * np.log1p(-lam[bad] * (omega / np.sqrt(conductor_M)))
+    log_partial = np.cumsum(s * (s - 1.0) / 2.0 * np.log1p(-1.0 / p) + log_rest)
+    decades = [10**k for k in range(1, len(str(p_max))) if 10**k < primes[-1]]  # 10^k <= p_max
+    last = np.searchsorted(p, decades, side="right") - 1  # the last prime <= each decade
+    decade_values = dict(zip(decades, np.exp(log_partial[last]).tolist()))
+    decade_values[p_max] = value = float(np.exp(log_partial[-1]))
     prev = [v for k, v in decade_values.items() if k <= p_max / 10]
     last_inc = abs(value - prev[-1]) if prev else None
     return EulerProductResult(value=value, p_max=p_max, last_decade_increment=last_inc, decade_values=decade_values)

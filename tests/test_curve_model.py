@@ -250,6 +250,28 @@ class TestPointCounting:
         assert not _is_prime(561) and not _is_prime(3_215_031_751)
         assert all(_is_prime(p) for p in (999_983, 9_999_991, 2**61 - 1))
 
+    @pytest.mark.parametrize(
+        "curve",
+        [*BSGS_CURVES.values(), (0, -1, 1, -10, -20), (1, 0, 1, 4, -6), (0, 0, 1, -7, 6)],
+        ids=[*BSGS_CURVES.keys(), "11a1", "14a1", "5077a"],
+    )
+    def test_character_sum_at_3(self, curve):
+        # completing the square only multiplies by 4, so the character sum is
+        # exact at every odd prime; y^2 = x^3 + 1 is bad at 3
+        assert _count_points_character_sum(curve, 3) == count_points_double_loop(curve, 3)
+
+    def test_double_loop_serves_only_p_2(self, monkeypatch):
+        enumerated = []
+        double_loop = curve_model.count_points_double_loop
+
+        def spy(weierstrass, p):
+            enumerated.append(p)
+            return double_loop(weierstrass, p)
+
+        monkeypatch.setattr(curve_model, "count_points_double_loop", spy)
+        assert point_counts(CURVE37, 50, 37)[3] == -3
+        assert enumerated == [2]
+
     def test_point_counts_table(self):
         assert point_counts(E11_WEIERSTRASS, 20, 11) == E11_AP
         # the conductor's count rides along when it lies above p_max
@@ -271,6 +293,15 @@ class TestNewformOracle:
         counts = point_counts(E11_WEIERSTRASS, 200_000, 11)
         assert len(counts) == 17_984
         assert [p for p, a in counts.items() if a != newform[p]] == []
+
+    def test_a_minus_half_at_1e6(self, newform):
+        # a_{-1/2} to p = 10^6 (0.7327345 from point counts), here from the
+        # oracle's table
+        table = {int(p): newform[p] for p in _sieve(10**6)}
+        result = a_s_truncated(table, 11, +1, -0.5, 10**6)
+        assert result.value == pytest.approx(0.7327344868, abs=1e-9)
+        assert result.value == pytest.approx(0.7327345, abs=5e-8)
+        assert result.last_decade_increment == pytest.approx(1.4857746e-05, abs=1e-12)
 
     def test_window_below_1e6(self, newform):
         window = [int(p) for p in _sieve(10**6) if p > 10**6 - 5000]
@@ -312,6 +343,40 @@ class TestEulerProduct:
             return (1 - 1 / m) ** (3 / 8) * (1 - lam / np.sqrt(m)) ** 0.5
 
         assert with_11 / with_13 == pytest.approx(m_factor(11) / m_factor(13), rel=1e-12)
+
+    @pytest.mark.parametrize(
+        "p_max, conductor, keys, increment",
+        [
+            (7, 11, [7], None),
+            (7, 13, [7], None),
+            (10, 11, [10], None),
+            (50, 11, [10, 50], None),
+            (1000, 11, [10, 100, 1000], 7.0118605e-4),
+            # no prime lies in (1000, 1001], so there is no key 1000
+            (1001, 11, [10, 100, 1001], 7.0118605e-4),
+            (30000, 11, [10, 100, 1000, 10000, 30000], 1.0994035e-4),
+        ],
+    )
+    def test_decade_keys(self, p_max, conductor, keys, increment):
+        result = a_s_truncated(point_counts(E11_WEIERSTRASS, p_max, conductor), conductor, +1, -0.5, p_max)
+        assert list(result.decade_values) == keys
+        assert result.decade_values[p_max] == result.value
+        if increment is None:
+            assert result.last_decade_increment is None
+        else:
+            assert result.last_decade_increment == pytest.approx(increment, rel=1e-7)
+
+    def test_decade_value_is_the_product_to_the_decade(self):
+        table = point_counts(E11_WEIERSTRASS, 1000, 11)
+        to_100 = a_s_truncated(table, 11, +1, -0.5, 100).value
+        assert a_s_truncated(table, 11, +1, -0.5, 1000).decade_values[100] == pytest.approx(to_100, rel=1e-15)
+
+    def test_missing_prime_is_domain_error(self):
+        # the conductor's factor is always applied, so its a(M) is needed too
+        with pytest.raises(DomainError, match="prime 11$"):
+            a_s_truncated({2: -2, 3: -1, 5: 1, 7: -2}, 11, +1, -0.5, 7)
+        with pytest.raises(DomainError, match="prime 5$"):
+            a_s_truncated({2: -2, 3: -1, 7: -2, 11: 1}, 11, +1, -0.5, 7)
 
     def test_p_max_domain(self):
         with pytest.raises(DomainError):
