@@ -460,8 +460,9 @@ def a_s_truncated(a_p: dict, conductor_M: int, omega: int, s: float, p_max: int)
     `a_p` maps each of those primes to a(p), as `point_counts` returns it, or
     DomainError names the first it lacks.  The conductor's factor is always
     applied, so `a_p` must hold a(M) even when p_max < M.  `decade_values[10^k]`
-    is the product over primes <= 10^k, for each 10^k <= p_max that a prime of
-    the product exceeds, and `decade_values[p_max]` is the value.
+    is the value at p_max = 10^k, the product over primes <= 10^k and the
+    conductor, for each 10^k <= p_max that a prime of the product exceeds, and
+    `decade_values[p_max]` is the value.
     `last_decade_increment`, a convergence diagnostic, is |value - the entry
     at the largest key <= p_max/10|, or None if there is none (p_max < 100).
     """
@@ -485,10 +486,13 @@ def a_s_truncated(a_p: dict, conductor_M: int, omega: int, s: float, p_max: int)
     log_rest = np.log(p / (p + 1.0) * (1.0 / p + 0.5 * (plus + minus)))
     bad = p == conductor_M
     log_rest[bad] = -s * np.log1p(-lam[bad] * (omega / np.sqrt(conductor_M)))
-    log_partial = np.cumsum(s * (s - 1.0) / 2.0 * np.log1p(-1.0 / p) + log_rest)
+    log_factor = s * (s - 1.0) / 2.0 * np.log1p(-1.0 / p) + log_rest
+    log_partial = np.cumsum(log_factor)
     decades = [10**k for k in range(1, len(str(p_max))) if 10**k < primes[-1]]  # 10^k <= p_max
     last = np.searchsorted(p, decades, side="right") - 1  # the last prime <= each decade
-    decade_values = dict(zip(decades, np.exp(log_partial[last]).tolist()))
+    # a decade below the conductor carries its factor, as the value does
+    log_decades = log_partial[last] + np.where(np.less(decades, conductor_M), log_factor[bad].sum(), 0.0)
+    decade_values = dict(zip(decades, np.exp(log_decades).tolist()))
     decade_values[p_max] = value = float(np.exp(log_partial[-1]))
     prev = [v for k, v in decade_values.items() if k <= p_max / 10]
     last_inc = abs(value - prev[-1]) if prev else None

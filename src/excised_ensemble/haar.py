@@ -5,7 +5,9 @@ The sampler draws from the Killip-Nenciu model (Killip & Nenciu, IMRN 2004,
 Thm 2, with beta = 2 and a = b = -1/2): x = 2 cos theta of Haar SO(2N) has the
 law of the eigenvalues of an N x N tridiagonal (Jacobi) matrix built from
 2N - 1 independent Beta variables, and log Lambda_A(1, N) is a sum over those
-variables, so a cutoff can be tested before any eigen-solve.
+variables, so a cutoff can be tested before any eigen-solve.  The eigenvalues
+of J come in closed form from its bands at N <= 2 and from one `eigvalsh`
+call on the dense stack above.
 
 The reference route draws the matrices themselves: the QR decomposition of an
 i.i.d. standard Gaussian matrix with the R-diagonal sign correction is Haar on
@@ -55,20 +57,27 @@ def beta_log_char_poly_batch(betas: np.ndarray) -> np.ndarray:
     return 2 * n * np.log(2.0) + np.sum(np.log(betas), axis=-1)
 
 
-def jacobi_matrix_batch(betas: np.ndarray) -> np.ndarray:
-    """The N x N Jacobi matrices J of the Killip-Nenciu variables, shape (count, N, N).
+def _jacobi_bands(betas: np.ndarray) -> tuple:
+    """Diagonal (count, N) and off-diagonal (count, N - 1) of the Jacobi matrices J
+    of the Killip-Nenciu variables.
 
     With alpha_{-1} = alpha_{2N-1} = -1 the Geronimus relations give, for k = 0 ... N-1,
     J[k, k] = (1 - alpha_{2k-1}) alpha_{2k} - (1 + alpha_{2k-1}) alpha_{2k-2} and
     J[k, k+1] = J[k+1, k] = sqrt((1 - alpha_{2k-1}) (1 - alpha_{2k}^2) (1 + alpha_{2k+1})).
     """
-    count, n = betas.shape[0], (betas.shape[-1] + 1) // 2
     alpha = np.pad(1 - 2 * betas, ((0, 0), (1, 1)), constant_values=-1.0)
     odd, even = alpha[:, 0::2], alpha[:, 1::2]  # alpha_{2k-1} for k = 0 ... N; alpha_{2k} for k = 0 ... N-1
     # alpha_{-2} is multiplied by 1 + alpha_{-1} = 0
     even_before = np.pad(even[:, :-1], ((0, 0), (1, 0)))
     diagonal = (1 - odd[:, :-1]) * even - (1 + odd[:, :-1]) * even_before
     off = np.sqrt((1 - odd[:, :-2]) * (1 - even[:, :-1] ** 2) * (1 + odd[:, 1:-1]))
+    return diagonal, off
+
+
+def jacobi_matrix_batch(betas: np.ndarray) -> np.ndarray:
+    """The N x N Jacobi matrices J of the Killip-Nenciu variables, shape (count, N, N)."""
+    diagonal, off = _jacobi_bands(betas)
+    count, n = diagonal.shape
     jacobi = np.zeros((count, n * n))
     jacobi[:, :: n + 1] = diagonal
     jacobi[:, 1 :: n + 1] = off  # superdiagonal
@@ -76,10 +85,25 @@ def jacobi_matrix_batch(betas: np.ndarray) -> np.ndarray:
     return jacobi.reshape(count, n, n)
 
 
-def jacobi_eigenphases_batch(jacobi: np.ndarray) -> np.ndarray:
-    """Eigenphases theta = arccos(x / 2) of the eigenvalues x of a stack of
-    Jacobi matrices, shape (count, N), each row ascending."""
-    return np.arccos(np.clip(np.linalg.eigvalsh(jacobi)[..., ::-1] / 2, -1.0, 1.0))
+def jacobi_eigenphases_batch(betas: np.ndarray) -> np.ndarray:
+    """Eigenphases theta = arccos(x / 2) of the eigenvalues x of the Jacobi
+    matrices J of the Killip-Nenciu variables, shape (count, N), each row ascending.
+
+    At N <= 2 the eigenvalues come in closed form from the bands, with no
+    matrix built: x = J[0, 0] at N = 1, and x = mid +- hypot((d_0 - d_1) / 2, e)
+    with mid = (d_0 + d_1) / 2 at N = 2 (the 2 x 2 formula of LAPACK's dlae2).
+    Above that one `eigvalsh` call solves the dense stack.
+    """
+    n = (betas.shape[-1] + 1) // 2
+    if n > 2:
+        x = np.linalg.eigvalsh(jacobi_matrix_batch(betas))[..., ::-1]
+    else:
+        x, off = _jacobi_bands(betas)
+        if n == 2:
+            mid = (x[:, 0] + x[:, 1]) / 2
+            radius = np.hypot((x[:, 0] - x[:, 1]) / 2, off[:, 0])
+            x = np.stack([mid + radius, mid - radius], axis=1)
+    return np.arccos(np.clip(x / 2, -1.0, 1.0))
 
 
 def sample_so2n_batch(n_pairs: int, count: int, rng: np.random.Generator) -> np.ndarray:

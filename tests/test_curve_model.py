@@ -371,6 +371,16 @@ class TestEulerProduct:
         to_100 = a_s_truncated(table, 11, +1, -0.5, 100).value
         assert a_s_truncated(table, 11, +1, -0.5, 1000).decade_values[100] == pytest.approx(to_100, rel=1e-15)
 
+    def test_decades_carry_the_conductor_above_p_max(self):
+        # M = 1009 > p_max: each decade, like the value, carries the M-factor
+        # (1.0046), so the increment compares one decade's primes only
+        table = point_counts(E11_WEIERSTRASS, 1005, 1009)
+        result = a_s_truncated(table, 1009, +1, -0.5, 1005)
+        assert list(result.decade_values) == [10, 100, 1000, 1005]
+        assert result.last_decade_increment == pytest.approx(7.6e-4, rel=0.02)
+        to_100 = a_s_truncated(table, 1009, +1, -0.5, 100).value
+        assert result.decade_values[100] == pytest.approx(to_100, rel=1e-15)
+
     def test_missing_prime_is_domain_error(self):
         # the conductor's factor is always applied, so its a(M) is needed too
         with pytest.raises(DomainError, match="prime 11$"):

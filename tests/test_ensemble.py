@@ -201,6 +201,13 @@ class TestFirstEigenvalue:
         with pytest.raises(DomainError, match="bins must be >= 1"):
             default_bin_edges(n_bins)
 
+    @pytest.mark.parametrize("n_pairs", [1, 2, 12])
+    def test_row_minimum_of_unsorted_rows(self, n_pairs):
+        phases = np.random.default_rng(30 + n_pairs).uniform(0.0, np.pi, (5000, n_pairs))
+        edges = default_bin_edges(40)
+        counts, _ = np.histogram(phases.min(axis=1), edges)
+        assert np.array_equal(first_eigenvalue_distribution(phases, edges).counts, counts)
+
     def test_two_pass_consistency(self):
         # histogram CDF against an independently computed empirical CDF
         spectra, _ = sample_excised(ExcisionSpec(2, NO_CUT), 20_000, seed=15)

@@ -54,7 +54,7 @@ def one_level_chi_square(phases, n_bins=50):
 
 def tridiagonal_phases(n_pairs, count, seed):
     betas = sample_beta_batch(n_pairs, count, np.random.default_rng(seed))
-    return jacobi_eigenphases_batch(jacobi_matrix_batch(betas))
+    return jacobi_eigenphases_batch(betas)
 
 
 class TestSampling:
@@ -124,7 +124,7 @@ class TestTridiagonalModel:
     @pytest.mark.parametrize("n_pairs", [2, 3, 12])
     def test_log_lambda_matches_phases_in_bulk(self, n_pairs):
         betas = sample_beta_batch(n_pairs, 20_000, np.random.default_rng(90 + n_pairs))
-        phases = jacobi_eigenphases_batch(jacobi_matrix_batch(betas))
+        phases = jacobi_eigenphases_batch(betas)
         bulk = np.all((phases > 0.05) & (phases < np.pi - 0.05), axis=1)
         assert bulk.mean() > 0.3
         diff = log_char_poly_batch(phases[bulk]) - beta_log_char_poly_batch(betas[bulk])
@@ -150,6 +150,32 @@ class TestTridiagonalModel:
         assert phases.shape == (1000, 5)
         assert np.all(np.diff(phases, axis=1) >= 0)
         assert np.all((phases >= 0) & (phases <= np.pi))
+
+    @pytest.mark.parametrize("n_pairs", [1, 2])
+    def test_closed_form_matches_eigvalsh(self, n_pairs):
+        betas = sample_beta_batch(n_pairs, 100_000, np.random.default_rng(150 + n_pairs))
+        phases = jacobi_eigenphases_batch(betas)
+        cosines = np.linalg.eigvalsh(jacobi_matrix_batch(betas))[..., ::-1] / 2
+        assert np.max(np.abs(np.cos(phases) - cosines)) <= 4 * np.finfo(float).eps
+        assert np.all(np.diff(phases, axis=1) >= 0)
+
+    @pytest.mark.parametrize(
+        "betas, expected",
+        [
+            # y_0 in {0, 1} puts x = +-2 on the diagonal, so the phase is exactly 0 or pi
+            ([[0.0], [0.5], [1.0]], [[0.0], [np.pi / 2], [np.pi]]),
+            # N = 2: y_0 in {0, 1} or y_1 = 1 makes the off-diagonal 0
+            ([[0.0, 0.5, 0.0], [1.0, 0.5, 1.0]], [[0.0, np.pi / 2], [np.pi / 2, np.pi]]),
+            ([[0.5, 1.0, 0.0], [0.5, 1.0, 1.0]], [[0.0, np.pi / 2], [np.pi / 2, np.pi]]),
+            # J = diag(2, -2) and diag(-2, 2): the same phases 0 and pi
+            ([[0.0, 0.0, 0.0], [1.0, 0.0, 1.0]], [[0.0, np.pi], [0.0, np.pi]]),
+        ],
+    )
+    def test_closed_form_at_the_ends_of_the_beta_range(self, betas, expected):
+        phases = jacobi_eigenphases_batch(np.array(betas))
+        assert np.array_equal(phases, np.array(expected))
+        reference = np.linalg.eigvalsh(jacobi_matrix_batch(np.array(betas)))[..., ::-1] / 2
+        assert np.allclose(np.cos(phases), reference, rtol=0, atol=4 * np.finfo(float).eps)
 
 
 class TestEigenphases:
