@@ -7,10 +7,11 @@ The excised density is a Bromwich (inverse Mellin) integral through r = c > 0,
 equal to the sum of residues at r = 0 and the negative half-integers.  The
 residue series converges factorially fast in the bulk but only algebraically
 as theta approaches the hard-gap edge, so wherever its error estimate misses
-1e-9 the integral is summed on a parabola instead.  Each higher residue is a
-trapezoid sum on a circle with theta factored out: the Jacobi Wronskian is a
-cosine polynomial in theta, and the exponential e^(r d) splits into one table
-shared by every pole and one scalar per (point, pole).
+1e-9 the integral is summed on a parabola instead.  The residue at r = 0 is
+a closed form; every other is a trapezoid sum on a circle with theta factored
+out: the Jacobi Wronskian is a cosine polynomial in theta, and the exponential
+e^(r d) splits into one table shared by every pole and one scalar per
+(point, pole).
 """
 
 from __future__ import annotations
@@ -18,7 +19,6 @@ from __future__ import annotations
 import csv
 import math
 from dataclasses import dataclass
-from functools import partial
 
 import numpy as np
 
@@ -45,7 +45,6 @@ __all__ = [
     "normalization_ratio",
     "cd_kernel_diag",
     "excised_integrand",
-    "kernel_residue_at_minus_half",
     "r1_excised_line_integral",
     "theta_inf",
     "gap_margin",
@@ -230,13 +229,6 @@ def _log_integrand_gammas(n_pairs: int, r):
     return constant + upper - lower
 
 
-def _kernel_diag(n_pairs: int, r, x):
-    """f_N^(r-1/2,-1/2)(theta, theta) at x = cos theta (no domain check)."""
-    r = np.asarray(r, dtype=complex)
-    const = 2.0 ** (1 - r) / (2 * n_pairs + r - 1) * np.exp(_kernel_log_gammas(n_pairs, r))
-    return (1 - x) ** r * const * _wronskian(n_pairs, r, x)
-
-
 def cd_kernel_diag(n_pairs: int, r, theta):
     """Diagonal f_N^(r-1/2,-1/2)(theta, theta) of the Christoffel-Darboux kernel.
 
@@ -245,7 +237,9 @@ def cd_kernel_diag(n_pairs: int, r, theta):
     th = np.asarray(theta, dtype=float)
     if np.any(th <= 0) or np.any(th >= np.pi):
         raise DomainError("cd_kernel_diag requires theta in the open interval (0, pi)")
-    out = _kernel_diag(n_pairs, r, np.cos(th))
+    r, x = np.asarray(r, dtype=complex), np.cos(th)
+    const = 2.0 ** (1 - r) / (2 * n_pairs + r - 1) * np.exp(_kernel_log_gammas(n_pairs, r))
+    out = (1 - x) ** r * const * _wronskian(n_pairs, r, x)
     if np.ndim(out) == 0:
         return complex(out) if not _is_real(r) else float(np.real(out))
     return out
@@ -282,18 +276,17 @@ def excised_integrand(n_pairs: int, log_cutoff: float, theta, r):
     return out if out.ndim else complex(out)
 
 
+def _exponent_size(n_pairs: int, modulus, d):
+    """Summed size of the exponent of an integrand at |r| <= modulus, for both
+    routes and the ratio: r d and at most 4(N+1) log-Gamma terms of size up to
+    (|r|+N) log(|r|+2N+1).  A value built as its exponential errs by eps times
+    this."""
+    return modulus * d + 4 * (n_pairs + 1) * (modulus + n_pairs) * np.log(modulus + 2 * n_pairs + 1)
+
+
 def _contour_nodes(centers):
     """The trapezoid nodes on the circle around each center, shape centers.shape + (nodes,)."""
     return np.add.outer(centers, _CONTOUR_RADIUS * np.exp(2j * np.pi * np.arange(_CONTOUR_NODES) / _CONTOUR_NODES))
-
-
-def _contour_residue(func, centers):
-    """Residues at `centers` via the trapezoid rule on circles (spectrally
-    accurate), and the mean magnitudes of the summands, which set their
-    rounding error.  `func` takes every node at once."""
-    z = _contour_nodes(centers)
-    vals = func(z) * (z - centers[:, None])
-    return np.mean(vals, axis=-1), np.mean(np.abs(vals), axis=-1)
 
 
 def _wronskian_cosine_coefficients(n_pairs: int, r):
@@ -310,9 +303,9 @@ def _wronskian_cosine_coefficients(n_pairs: int, r):
 
 
 def _density_residue(n_pairs: int, log_cutoff: float, thetas):
-    """residue(centers) -> (values, magnitudes), one row per center:
-    `_contour_residue` of the excised integrand at every theta (all off the
-    gap, d > 0), with theta factored out.
+    """residue(centers) -> (values, magnitudes), one row per center: the
+    trapezoid residue of the excised integrand on the circle around each
+    center at every theta (all off the gap, d > 0), with theta factored out.
 
     On the circle r = c + rho e^(i phi), e^(r d) = e^((c+rho) d) T, where
     T = e^((rho e^(i phi) - rho) d) has modulus <= 1 and is one table shared
@@ -320,8 +313,10 @@ def _density_residue(n_pairs: int, log_cutoff: float, thetas):
     sum of (T @ B) * cos k theta, B[m, k] = C_k(z_m) times the node's
     rational factor and its Gamma factor over the circle's largest, times one
     exponential per (point, pole), so no factor overflows into inf * 0.
-    `magnitude` sums the moduli of the same terms, (|T| @ |B|) * |cos k theta|.
-    The Gamma factors of every circle are taken in one pass.
+    `magnitude` sums the moduli of the same terms, (|T| @ |B|) * |cos k theta|,
+    plus `_exponent_size` times |residue|: the exponentials that a residue's
+    terms share err together and scale the residue as a whole.  The Gamma
+    factors of every circle are taken in one pass.
     """
     d = gap_margin(n_pairs, log_cutoff, thetas)
     offsets = _contour_nodes(0.0)
@@ -341,49 +336,32 @@ def _density_residue(n_pairs: int, log_cutoff: float, thetas):
             b = weights[row, :, None] * _wronskian_cosine_coefficients(n_pairs, z[row])
             values[row] = scale * np.sum((table @ b) * cosines, axis=1)
             magnitudes[row] = scale * np.sum((table_abs @ np.abs(b)) * np.abs(cosines), axis=1)
+        magnitudes += _exponent_size(n_pairs, np.abs(centers)[:, None] + _CONTOUR_RADIUS, d) * np.abs(values)
         return values, magnitudes
 
     return residue
 
 
-def _residue_series(residue, truncation_K: int, *closed_forms):
+def _residue_series(residue, truncation_K: int, at_zero):
     """(value, error) of a residue series, the pair `_line_quadrature` returns.
 
-    `residue(centers)` returns the residue at each of `centers` and the summed
-    magnitudes of the terms that formed it, one row per center.  `value` is
-    the sum of the `closed_forms` (residues known exactly) plus the residues at
-    -3/2, ..., -(2K+1)/2.  `error` is |residue| at -(2K+3)/2, the truncation
-    tail, plus the rounding floor: eps times the summed magnitudes of the
-    terms, the closed forms and the residues' own.
+    `residue(centers)` returns the residue at each of `centers` and the size
+    of its rounding error in units of eps, one row per center.  `value` is
+    `at_zero`, the residue at r = 0 in closed form, plus the contour residues
+    at -1/2, -3/2, ..., -(2K+1)/2.  `error` is |residue| at -(2K+3)/2, the
+    truncation tail, plus the rounding floor: eps times |at_zero| and the
+    summed sizes of the residues.
     """
-    res, sizes = residue(-(2 * np.arange(1, truncation_K + 2) + 1) / 2.0)
-    total = magnitude = 0.0
-    for k in range(truncation_K):
-        total, magnitude = total + res[k], magnitude + sizes[k]
-    tail = np.abs(res[-1])
-    value = sum(closed_forms) + np.real(total)
-    return value, tail + _EPS * (sum(np.abs(f) for f in closed_forms) + magnitude)
-
-
-def kernel_residue_at_minus_half(n_pairs: int, log_cutoff: float, theta):
-    """Closed-form residue of the excised integrand at the simple pole r = -1/2:
-    -2 e^(X/2) h(N) times the kernel diagonal f_N^(-1,-1/2)(theta, theta).
-
-    Vanishes identically for N = 1, where the Gamma factors cancel the pole.
-    Accepts theta in (0, pi], unlike `cd_kernel_diag`.
-    """
-    th = np.asarray(theta, dtype=float)
-    if n_pairs == 1:
-        return 0.0 if th.ndim == 0 else np.zeros_like(th)
-    diag = np.real(_kernel_diag(n_pairs, -0.5, np.cos(th)))
-    out = -2.0 * np.exp(0.5 * log_cutoff) * h_exact(n_pairs) * diag
-    return float(out) if out.ndim == 0 else out
+    res, sizes = residue(-(2 * np.arange(truncation_K + 2) + 1) / 2.0)
+    total, magnitude = sum(res[:-1]), sum(sizes[:-1])
+    return at_zero + np.real(total), np.abs(res[-1]) + _EPS * (np.abs(at_zero) + magnitude)
 
 
 @dataclass(frozen=True)
 class NormalizationResult:
-    """The Haar probability P(log Lambda >= X), summed as a residue series,
-    and `tail_estimate`, the magnitude of the first residue left out plus the
+    """The Haar probability P(log Lambda >= X), summed as a residue series
+    (1 at r = 0, then contour residues at -1/2, -3/2, ...), and
+    `tail_estimate`, the magnitude of the first residue left out plus the
     rounding floor, as in `DensityGrid.tails`."""
 
     value: float
@@ -392,7 +370,7 @@ class NormalizationResult:
 
 def normalization_ratio(n_pairs: int, log_cutoff: float, truncation_K: int = 10) -> NormalizationResult:
     """Haar probability that log Lambda >= X, as the residue series
-    1 + (simple pole at -1/2, closed form) + sum of higher contour residues.
+    1 (the pole at r = 0) + the contour residues at -1/2, ..., -(2K+1)/2.
 
     Raises DomainError when the truncated series does not lie in (0, 1]: for
     large N it is summed outside the range where it converges.  Also raises
@@ -406,12 +384,19 @@ def normalization_ratio(n_pairs: int, log_cutoff: float, truncation_K: int = 10)
     if truncation_K < 1:
         raise DomainError("truncation_K must be >= 1")
 
-    def integrand(z):
-        return moments_so2n(n_pairs, z, analytic_continuation=True) * np.exp(-z * log_cutoff) / z
+    d = gap_margin(n_pairs, log_cutoff, np.pi)  # the moment's 2^(2Nr) e^(-rX) is e^(r d)
 
-    minus_half = -2.0 * h_exact(n_pairs) * np.exp(0.5 * log_cutoff)
-    residue = partial(_contour_residue, integrand)
-    result = NormalizationResult(*map(float, _residue_series(residue, truncation_K, 1.0, minus_half)))
+    def residue(centers):
+        # the trapezoid rule on the circles, spectrally accurate; its rounding
+        # is that of the summands and of the exponentials they share
+        z = _contour_nodes(centers)
+        terms = moments_so2n(n_pairs, z, analytic_continuation=True) * np.exp(-z * log_cutoff) / z
+        terms *= z - centers[:, None]
+        values = np.mean(terms, axis=-1)
+        shared = _exponent_size(n_pairs, np.abs(centers) + _CONTOUR_RADIUS, d)
+        return values, np.mean(np.abs(terms), axis=-1) + shared * np.abs(values)
+
+    result = NormalizationResult(*map(float, _residue_series(residue, truncation_K, 1.0)))
     if not 0.0 < result.value <= 1.0:
         raise DomainError(
             f"normalization ratio {result.value:.6g} at N={n_pairs}, X={log_cutoff:g} lies outside (0, 1]: "
@@ -461,8 +446,7 @@ def _line_quadrature(n_pairs: int, log_cutoff: float, theta: float, c: float):
     r = c + 1j * s - kappa * s * s
     terms = wts * (1j - 2.0 * kappa * s) * excised_integrand(n_pairs, log_cutoff, theta, r)
     size, mag = np.abs(terms), np.abs(r)
-    exponent_size = mag * d + 4 * (n_pairs + 1) * (mag + n_pairs) * np.log(mag + 2 * n_pairs + 1)
-    error = size[-len(_GL_NODES):].sum() + _EPS * np.sum(size * exponent_size)
+    error = size[-len(_GL_NODES):].sum() + _EPS * np.sum(size * _exponent_size(n_pairs, mag, d))
     return float(np.sum(terms).imag / np.pi), float(error / np.pi)
 
 
@@ -515,8 +499,8 @@ class DensityGrid:
 def density_grid(n_pairs: int, log_cutoff: float, thetas, truncation_K: int = 10) -> DensityGrid:
     """Excised one-level density R_1 on an ascending grid of angles.
 
-    Off the gap it sums R_1 of SO(2N), the closed-form residue at r = -1/2
-    and the contour residues at -3/2, ..., -(2K+1)/2, and divides by
+    Off the gap it sums R_1 of SO(2N), the residue at r = 0, and the
+    contour residues at -1/2, -3/2, ..., -(2K+1)/2, and divides by
     `normalization_ratio(n_pairs, log_cutoff)`.  Zero on the hard gap (the
     boundary d = 0 is assigned to the gap).  Where the residue series' error
     exceeds 1e-9 (next to the gap edge, and where the residue terms cancel)
@@ -536,8 +520,7 @@ def density_grid(n_pairs: int, log_cutoff: float, thetas, truncation_K: int = 10
     if np.any(live):
         th = thetas[live]
         sums, errors = _residue_series(
-            _density_residue(n_pairs, log_cutoff, th), truncation_K,
-            r1_so2n_unscaled(n_pairs, th), kernel_residue_at_minus_half(n_pairs, log_cutoff, th),
+            _density_residue(n_pairs, log_cutoff, th), truncation_K, r1_so2n_unscaled(n_pairs, th)
         )
         values[live] = sums / norm
         tails[live] = errors / norm

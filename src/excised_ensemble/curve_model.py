@@ -429,9 +429,12 @@ def count_points_fp(weierstrass, p: int) -> int:
 
 def _euler_primes(p_max: int, conductor_M: int) -> list:
     """The primes p <= p_max, then the conductor when it exceeds p_max: the
-    Euler product always carries the conductor's factor."""
+    Euler product always carries the conductor's factor.  The conductor must
+    be prime, as only p = M takes the bad-prime factor."""
     if p_max < 2:
         raise DomainError("p_max must be at least 2")
+    if not _is_prime(conductor_M):
+        raise DomainError(f"the Euler product needs a prime conductor, not {conductor_M}")
     primes = [int(p) for p in _sieve(p_max)]
     if conductor_M > p_max:
         primes.append(conductor_M)

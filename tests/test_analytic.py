@@ -1,7 +1,10 @@
+import itertools
 import re
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 from scipy.integrate import quad
 
 from excised_ensemble import analytic
@@ -14,7 +17,6 @@ from excised_ensemble.analytic import (
     gap_margin,
     h_asymptotic,
     h_exact,
-    kernel_residue_at_minus_half,
     moments_so2n,
     normalization_ratio,
     r1_excised_line_integral,
@@ -241,6 +243,21 @@ class TestNormalizationRatio:
         ratio = normalization_ratio(n, log_cutoff)
         assert ratio.tail_estimate >= np.finfo(float).eps * ratio.value
 
+    @given(st.integers(1, 12), st.floats(0.01, 45.0), st.floats(0.01, 45.0))
+    @settings(max_examples=60, deadline=None)
+    def test_certified_ratio_is_a_decreasing_probability(self, n, gap1, gap2):
+        # P(log Lambda >= X) falls as X rises to its maximum 2N log 2; a ratio
+        # the series cannot certify raises DomainError, and that example says
+        # nothing here
+        top = 2 * n * np.log(2.0)
+        x1, x2 = top - max(gap1, gap2), top - min(gap1, gap2)
+        try:
+            low, high = normalization_ratio(n, x1).value, normalization_ratio(n, x2).value
+        except DomainError:
+            assume(False)
+        assert 0.0 < high <= 1.0 and 0.0 < low <= 1.0
+        assert low >= high - 1e-10
+
 
 class TestKernel:
     @pytest.mark.parametrize("n", [2, 3])
@@ -296,10 +313,35 @@ class TestExcisedIntegrand:
         assert residue == pytest.approx(r1_so2n_unscaled(2, 1.0), abs=1e-9)
 
     def test_minus_half_residue_closed_form(self):
-        nodes = 128
-        z = -0.5 + 0.1 * np.exp(2j * np.pi * np.arange(nodes) / nodes)
-        residue = np.mean(excised_integrand(2, X_TENTH, 1.0, z) * (z + 0.5)).real
-        assert residue == pytest.approx(kernel_residue_at_minus_half(2, X_TENTH, 1.0), rel=1e-9)
+        # the pole at -1/2 is simple, with residue -2 e^(X/2) h(N) f_N^(-1,-1/2)(theta, theta)
+        for n, log_cutoff in itertools.product([2, 3, 12], [X_TENTH, np.log(0.005424), -12.0]):
+            thetas = np.linspace(0, np.pi, 61)[1:-1]
+            thetas = thetas[gap_margin(n, log_cutoff, thetas) > 0]
+            (residue,), _ = analytic._density_residue(n, log_cutoff, thetas)(np.array([-0.5]))
+            closed = -2.0 * np.exp(log_cutoff / 2) * h_exact(n) * np.real(cd_kernel_diag(n, -0.5, thetas))
+            assert np.all(np.abs(residue.real - closed) <= 1e-12 * np.abs(closed).max()), (n, log_cutoff)
+
+    def test_minus_half_residue_vanishes_at_n1(self):
+        # at N = 1 the Gamma factors cancel the pole
+        thetas = np.linspace(0, np.pi, 61)[1:]
+        (residue,), _ = analytic._density_residue(1, -2.0, thetas)(np.array([-0.5]))
+        assert np.all(np.abs(residue) <= 1e-16)
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 12])
+    @pytest.mark.parametrize("log_cutoff", [X_TENTH, np.log(0.005424), -12.0])
+    def test_ratio_minus_half_residue_closed_form(self, monkeypatch, n, log_cutoff):
+        # M_O(N, r) e^(-rX) / r has residue -2 h(N) e^(X/2) at -1/2
+        residues = []
+        original = analytic._residue_series
+
+        def spy(residue, *args):
+            residues.append(residue)
+            return original(residue, *args)
+
+        monkeypatch.setattr(analytic, "_residue_series", spy)
+        normalization_ratio(n, log_cutoff)
+        (value,), _ = residues[0](np.array([-0.5]))
+        assert value == pytest.approx(-2.0 * h_exact(n) * np.exp(log_cutoff / 2), rel=1e-12)
 
     def test_pole_inputs_rejected(self):
         with pytest.raises(DomainError):
@@ -475,15 +517,15 @@ class TestFactoredResidues:
     def test_factored_sum_matches_direct_trapezoid_sum(self, n, log_cutoff):
         thetas = np.linspace(0, np.pi, 61)
         thetas = thetas[gap_margin(n, log_cutoff, thetas) > 0]
-        closed = (r1_so2n_unscaled(n, thetas), kernel_residue_at_minus_half(n, log_cutoff, thetas))
-        value, error = analytic._residue_series(analytic._density_residue(n, log_cutoff, thetas), 10, *closed)
+        closed = r1_so2n_unscaled(n, thetas)
+        value, error = analytic._residue_series(analytic._density_residue(n, log_cutoff, thetas), 10, closed)
         residues = 0.0
-        for k in range(1, 11):
+        for k in range(11):
             center = -(2 * k + 1) / 2.0
             z = center + 0.1 * np.exp(2j * np.pi * np.arange(128) / 128)
             residues = residues + np.mean(excised_integrand(n, log_cutoff, thetas[:, None], z) * (z - center), axis=1)
         assert thetas[-1] == np.pi
-        assert np.all(np.abs(value - (sum(closed) + residues.real)) <= error)
+        assert np.all(np.abs(value - (closed + residues.real)) <= error)
 
 
 class TestLineIntegral:

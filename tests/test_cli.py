@@ -531,3 +531,61 @@ class TestErrorPaths:
     def test_unreadable_config(self, tmp_path):
         code = run(["cutoff", "--config", tmp_path / "missing.cfg", "--out", tmp_path / "c.json"])
         assert code == 2
+
+
+
+SAMPLING_PARAMETERS = {
+    "bins", "count", "cutoff", "cutoff_log", "n", "out", "scale", "seed", "subcommand", "summary", "workers",
+}
+SAMPLING_KEYS = {"acceptance_rate", "accepted", "log_cutoff", "mean_first_phase", "n_pairs", "total_drawn"}
+AP_COUNT_PARAMETERS = {"config", "euler_s", "out", "p_max", "subcommand", "summary"}
+# (command line without the summary path, summary flag, keys beside version/seed/parameters, parameter keys)
+SCHEMAS = {
+    "sample": (
+        ["sample", "--n", 2, "--count", 100, "--cutoff", 0.1, "--out", "h.csv"], "--summary",
+        SAMPLING_KEYS, SAMPLING_PARAMETERS | {"dump_spectra", "histogram"},
+    ),
+    "first-eigenvalue": (
+        ["first-eigenvalue", "--n", 2, "--count", 100, "--cutoff", 0.1, "--out", "f.csv"], "--summary",
+        SAMPLING_KEYS, SAMPLING_PARAMETERS,
+    ),
+    "density": (
+        ["density", "--n", 2, "--cutoff", 0.1, "--grid", 20, "--out", "d.csv"], "--summary",
+        {"line_route_points", "max_tail", "normalization_ratio", "ratio_tail_estimate", "theta_inf"},
+        {"cutoff", "cutoff_log", "grid", "n", "out", "subcommand", "summary"},
+    ),
+    "moments": (
+        ["moments", "--n", 2, "--s", 0.5], "--out",
+        {"c_so2n", "h_asymptotic", "h_exact", "moment"}, {"n", "out", "s", "subcommand"},
+    ),
+    "cutoff": (
+        ["cutoff", "--config", "e11"], "--out",
+        {"N_eff", "N_eff_matrix", "N_std", "N_std_matrix", "X_bound", "abs_cutoff_eff", "abs_cutoff_std",
+         "c_eff", "c_std", "delta_kappa"},
+        {"config", "out", "subcommand", "x"},
+    ),
+    "ap-count": (
+        ["ap-count", "--config", "e11", "--p-max", 100, "--euler-s", -0.5, "--out", "ap.csv"], "--summary",
+        {"a_s_last_decade_increment", "a_s_value", "conductor", "p_max"}, AP_COUNT_PARAMETERS,
+    ),
+    "ap-count-without-euler-s": (
+        ["ap-count", "--config", "e11", "--p-max", 100, "--out", "ap.csv"], "--summary",
+        {"conductor", "p_max"}, AP_COUNT_PARAMETERS,
+    ),
+    "compare": (
+        ["compare", "--a", "a.csv", "--b", "a.csv"], "--out",
+        {"cdf_distance"}, {"a", "a_kind", "b", "b_kind", "bins", "grid", "out", "subcommand"},
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(SCHEMAS))
+def test_summary_schema(tmp_path, monkeypatch, case):
+    # every key, so that a numerical change cannot add, drop or rename a field
+    monkeypatch.chdir(tmp_path)
+    ensemble.write_histogram_csv(ensemble.Histogram(np.linspace(0.0, 1.0, 5), np.array([1, 2, 3, 4])), "a.csv")
+    command, flag, keys, parameters = SCHEMAS[case]
+    assert run([*command, flag, "summary.json"]) == 0
+    summary = json.loads((tmp_path / "summary.json").read_text())
+    assert set(summary) == {"version", "seed", "parameters"} | keys
+    assert set(summary["parameters"]) == parameters

@@ -388,6 +388,18 @@ class TestEulerProduct:
         with pytest.raises(DomainError, match="prime 5$"):
             a_s_truncated({2: -2, 3: -1, 7: -2, 11: 1}, 11, +1, -0.5, 7)
 
+    @pytest.mark.parametrize("p_max", [10, 100])
+    def test_composite_conductor_is_domain_error(self, p_max):
+        # 14a1 has bad reduction at 2 and 7, but only p == M takes the bad
+        # factor: M = 14 would give 2 and 7 the good factor (0.8103 at p_max
+        # 100) or count points mod 14 (0.6678 at p_max 10)
+        e14 = (1, 0, 1, 4, -6)
+        with pytest.raises(DomainError, match="prime conductor, not 14"):
+            point_counts(e14, p_max, 14)
+        table = _counts_at(e14, [int(p) for p in _sieve(p_max)])
+        with pytest.raises(DomainError, match="prime conductor, not 14"):
+            a_s_truncated(table, 14, +1, -0.5, p_max)
+
     def test_p_max_domain(self):
         with pytest.raises(DomainError):
             a_s_truncated({2: -2, 11: 1}, 11, +1, -0.5, 1)
