@@ -12,7 +12,6 @@ deriving them is out of scope.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import partial
 from math import isqrt
 from typing import Optional
 
@@ -262,36 +261,101 @@ def _pow_mod(base, bits, p):
     return result
 
 
-def _ec_add(P, Q, a, p, inverse_bits):
-    """P + Q per row on y^2 = x^3 + a x + b over F_p.
-
-    A point is an (x, y, is_infinity) triple of arrays.  The slope's
-    denominator is inverted as the Fermat power with exponent bits
-    `inverse_bits` = `_bits(p - 2)`.  Where it is 0, the sum is the point at
-    infinity or one of P, Q is, and the slope is not used.
-    """
-    (x1, y1, o1), (x2, y2, o2) = P, Q
-    tangent = x1 == x2
-    num = np.where(tangent, 3 * (x1 * x1 % p) + a, y2 - y1) % p
-    den = np.where(tangent, 2 * y1, x2 - x1) % p
-    slope = num * _pow_mod(den, inverse_bits, p) % p
-    x3 = (slope * slope - x1 - x2) % p
-    y3 = (slope * (x1 - x3) - y1) % p
-    o3 = tangent & ((y1 + y2) % p == 0)
-    return (
-        np.where(o1, x2, np.where(o2, x1, x3)),
-        np.where(o1, y2, np.where(o2, y1, y3)),
-        np.where(o1, o2, ~o2 & o3),
-    )
+def _invert(z, p, inverse_bits):
+    """Replace every entry of z by its inverse mod p, 0 staying 0, by
+    simultaneous inversion along axis 0 (Montgomery, Math. Comp. 48, 1987):
+    the running products of each column, one Fermat power of the last with
+    exponent bits `inverse_bits` = `_bits(p - 2)`, then three products per
+    entry on the way back."""
+    zero = z == 0
+    z[zero] = 1
+    prod = np.empty_like(z)
+    prod[0] = z[0]
+    for k in range(1, len(z)):
+        prod[k] = prod[k - 1] * z[k] % p
+    last = _pow_mod(prod[-1], inverse_bits, p)  # 1 / (z[0] ... z[k]), from the last k down
+    for k in range(len(z) - 1, 0, -1):
+        prod[k] = last * prod[k - 1] % p
+        last = last * z[k] % p
+    z[1:] = prod[1:]
+    z[0] = last
+    z[zero] = 0
 
 
-def _ec_multiply(n, P, add):
-    """n P per row, n >= 0, by right-to-left double-and-add."""
-    result = (np.zeros_like(P[0]), np.zeros_like(P[0]), np.ones(len(n), dtype=bool))
-    for bit in _bits(n):
-        result = tuple(np.where(bit, s, r) for s, r in zip(add(result, P), result))
-        P = add(P, P)
-    return result
+def _jacobian(P):
+    """The affine points P = (x, y, is_infinity) as (X, Y, Z), Z = 1 or 0 at O."""
+    x, y, o = P
+    return x, y, np.where(o, 0, 1).astype(x.dtype)
+
+
+def _to_affine(X, Y, Z, p, inverse_bits):
+    """Jacobian points (X, Y, Z), x = X / Z^2 and y = Y / Z^3, to affine in
+    place in X and Y, with one Fermat power per column of p (`_invert`, which
+    overwrites Z).  Returns where Z was 0, the point at infinity, whose x and
+    y become 0."""
+    inf = Z == 0
+    _invert(Z, p, inverse_bits)
+    inv2 = Z * Z % p
+    X *= inv2
+    X %= p
+    Y *= inv2
+    Y %= p
+    Y *= Z
+    Y %= p
+    return inf
+
+
+def _double(R, a, p):
+    """2R per row on y^2 = x^3 + a x + b over F_p, in Jacobian coordinates;
+    2R = O, Z = 0, where R = O or y = 0.  Every product takes two residues
+    in [0, p), so it stays below 2^62 in int64 while p < 2^31."""
+    X, Y, Z = R
+    xx = X * X % p
+    yy = Y * Y % p
+    zz = Z * Z % p
+    s = 4 * (X * yy % p) % p
+    slope = (3 * xx + a * (zz * zz % p)) % p
+    X3 = (slope * slope - 2 * s) % p
+    Y3 = (slope * ((s - X3) % p) - 8 * (yy * yy % p)) % p
+    return X3, Y3, 2 * (Y * Z % p) % p
+
+
+def _add_affine(R, Q, a, p):
+    """R + Q per row, R in Jacobian coordinates (as `_double`) and Q affine,
+    an (x, y, is_infinity) triple of arrays.  Where R = -Q the sum comes out
+    with Z = 0, O; where R = Q it is `_double(R)`; where R or Q is O it is
+    the other."""
+    X, Y, Z = R
+    x, y, o = Q
+    zz = Z * Z % p
+    h = (x * zz - X) % p
+    r = (y * (zz * Z % p) - Y) % p
+    hh = h * h % p
+    hhh = h * hh % p
+    v = X * hh % p
+    X3 = (r * r - hhh - 2 * v) % p
+    Y3 = (r * ((v - X3) % p) - Y * hhh % p) % p
+    Z3 = Z * h % p
+    r_is_o = Z == 0
+    same = np.flatnonzero((h == 0) & (r == 0))
+    same = same[~r_is_o[same] & ~o[same]]
+    if same.size:
+        X3[same], Y3[same], Z3[same] = _double((X[same], Y[same], Z[same]), a[same], p[same])
+    for out, q_coord, r_coord in zip((X3, Y3, Z3), (x, y, 1), R):
+        np.copyto(out, q_coord, where=r_is_o)  # O + Q = Q
+        np.copyto(out, r_coord, where=o)  # R + O = R, O when both are
+    return X3, Y3, Z3
+
+
+def _chain(first, Q, steps, a, p, inverse_bits):
+    """first + i Q, i = 0..steps - 1, per row, as affine (K, rows) tables
+    (x, y, is_infinity): filled in Jacobian coordinates, one mixed addition
+    of the affine Q per entry, then brought to affine by `_to_affine`."""
+    X, Y, Z = (np.empty((steps, len(p)), dtype=p.dtype) for _ in range(3))
+    X[0], Y[0], Z[0] = first
+    for i in range(1, steps):
+        X[i], Y[i], Z[i] = _add_affine((X[i - 1], Y[i - 1], Z[i - 1]), Q, a, p)
+    return X, Y, _to_affine(X, Y, Z, p, inverse_bits)
 
 
 def _bsgs_traces(p, A, d, x0):
@@ -308,6 +372,11 @@ def _bsgs_traces(p, A, d, x0):
     such t is found once.  Where it has order at most 2m, every giant step
     inside the Hasse interval finds one, so the row finds several.
 
+    Both tables are filled in Jacobian coordinates by mixed additions of the
+    affine P or -gP, and the start (p + 1 + top g) P of the giant steps by a
+    left-to-right double-and-add; each table, and gP, then takes one Fermat
+    power per row to return to affine, and the square test on d a fourth.
+
     Returns (a, fixed) per row: a(p) read from t, and whether that t was the
     only |t| <= 2 sqrt(p) with (p + 1 - t) P = O.
     """
@@ -316,29 +385,30 @@ def _bsgs_traces(p, A, d, x0):
     m = np.array([isqrt(b) + 1 for b in bound.tolist()])
     g = 2 * m + 1
     top = (bound + m) // g
-    add = partial(_ec_add, a=A * (d * d % p) % p, p=p, inverse_bits=_bits(p - 2))
+    a = A * (d * d % p) % p
+    inverse_bits = _bits(p - 2)
     P = (d * x0 % p, d * d % p, np.zeros(len(p), dtype=bool))
-    chain = [P]
-    for _ in range(m.max()):
-        chain.append(add(chain[-1], P))
-    x, y, inf = (np.stack(c, axis=1) for c in zip(*chain))  # column j - 1 holds jP
-    baby = (np.arange(x.shape[1]) < m[:, None]) & ~inf
+    x, y, inf = _chain(_jacobian(P), P, m.max() + 1, a, p, inverse_bits)  # row j - 1 holds jP
+    baby = (np.arange(len(x))[:, None] < m) & ~inf
 
     def multiple(j):
-        return tuple(c[rows, j - 1] for c in (x, y, inf))
+        return tuple(c[j - 1, rows] for c in (x, y, inf))
 
-    gx, gy, g_inf = add(multiple(m), multiple(m + 1))  # gP = mP + (m + 1)P
-    step = (gx, -gy % p, g_inf)
-    R = _ec_multiply(p + 1 + top * g, P, add)  # (p + 1 - k g) P at k = -top
+    gX, gY, gZ = _add_affine(_jacobian(multiple(m)), multiple(m + 1), a, p)  # gP = mP + (m + 1)P
+    g_inf = _to_affine(gX[None], gY[None], gZ[None], p, inverse_bits)[0]
+    step = (gX, -gY % p, g_inf)
+    R = (np.ones_like(p), np.ones_like(p), np.zeros_like(p))
+    for bit in reversed(_bits(p + 1 + top * g)):  # (p + 1 - k g) P at k = -top
+        R = _double(R, a, p)
+        R = tuple(np.where(bit, s, r) for s, r in zip(_add_affine(R, P, a, p), R))
+    Rx, Ry, R_inf = _chain(R, step, 2 * top.max() + 1, a, p, inverse_bits)
     found = np.zeros(len(p), dtype=np.int64)
     trace = np.zeros(len(p), dtype=np.int64)
     for i in range(2 * top.max() + 1):
-        if i:
-            R = add(R, step)
-        match = baby & (x == R[0][:, None])
-        j = match.argmax(axis=1) + 1
-        t = (i - top) * g + np.where(R[2], 0, np.where(y[rows, j - 1] == R[1], j, -j))
-        hit = (R[2] | match.any(axis=1)) & (i <= 2 * top) & (np.abs(t) <= bound)
+        match = baby & (x == Rx[i])
+        j = match.argmax(axis=0) + 1
+        t = (i - top) * g + np.where(R_inf[i], 0, np.where(y[j - 1, rows] == Ry[i], j, -j))
+        hit = (R_inf[i] | match.any(axis=0)) & (i <= 2 * top) & (np.abs(t) <= bound)
         found += hit
         trace = np.where(hit, t, trace)
     square = _pow_mod(d, _bits((p - 1) // 2), p) == 1
@@ -360,6 +430,7 @@ def _bsgs_counts(c4: int, c6: int, primes: list) -> list:
     B = np.array([-54 * c6 % q for q in primes], dtype=dtype)
     counts = np.zeros(len(p), dtype=np.int64)
     pending = np.arange(len(p))
+    is_open = np.ones(len(p), dtype=bool)
     tried = np.full(len(p), -1)  # the last x0 tried at each prime
     points = 1
     while pending.size:
@@ -377,9 +448,12 @@ def _bsgs_counts(c4: int, c6: int, primes: list) -> list:
             chunk = slice(s, s + _BSGS_ROWS)
             rp = row_prime[chunk]
             a[chunk], fixed[chunk] = _bsgs_traces(p[rp], A[rp], d[chunk], x0[chunk])
-        done, first = np.unique(row_prime[fixed], return_index=True)
-        counts[done] = a[fixed][first]
-        pending = np.setdiff1d(pending, done)
+        done, a = row_prime[fixed], a[fixed]
+        first = np.ones(len(done), dtype=bool)  # done is sorted: the first row of each prime
+        first[1:] = done[1:] != done[:-1]
+        counts[done[first]] = a[first]
+        is_open[done] = False
+        pending = np.flatnonzero(is_open)
         points = _RETRY_POINTS
     return counts.tolist()
 
@@ -413,7 +487,7 @@ def count_points_fp(weierstrass, p: int) -> int:
     At primes p > 229 of good reduction this is baby-step giant-step on E or
     its quadratic twist, O(p^(1/4)) group operations per prime (Mestre;
     Cohen, A Course in Computational Algebraic Number Theory, 7.4), run as
-    a numpy kernel whose fixed cost per call (about 10 ms at p = 3e4) a
+    a numpy kernel whose fixed cost per call (3 to 6 ms at p = 3e4) a
     batch of primes shares: count many primes with `point_counts`.  Below
     that, and at primes dividing c4^3 - c6^2 (the conductor among them), it
     sums the quadratic character of the cubic, O(p); at the conductor this

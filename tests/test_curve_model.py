@@ -200,7 +200,9 @@ class TestPointCounting:
     def test_group_law_in_every_case(self):
         # y^2 = x^3 + x + 1 over F_23, one case per row; O is the point at
         # infinity, (4, 0) has order 2, and (3, 10) + (9, 7) = (17, 20),
-        # 2 (3, 10) = (7, 12) are the textbook values
+        # 2 (3, 10) = (7, 12) are the textbook values.  The first operand is
+        # taken to Jacobian coordinates scaled by lambda, (l^2 x, l^3 y, l),
+        # the second stays affine.
         O = (0, 0, True)
         cases = [
             ((3, 10, False), (9, 7, False), (17, 20, False)),
@@ -213,12 +215,77 @@ class TestPointCounting:
             # the coordinates an O carries are never read
             ((3, 10, False), (3, 13, True), (3, 10, False)),
             ((3, 13, True), (3, 10, False), (3, 10, False)),
+            # P = Q reached through the mixed add from a scaled representative
+            ((3, 10, False), (3, 10, False), (7, 12, False)),
         ]
+        scale = np.array([1] * 9 + [5])
         P, Q, want = (tuple(np.array(c) for c in zip(*points)) for points in zip(*cases))
         p = np.full(len(cases), 23)
-        x, y, inf = curve_model._ec_add(P, Q, 1, p, curve_model._bits(p - 2))
+        a = np.full(len(cases), 1)
+        x, y, z = curve_model._jacobian(P)
+        R = (x * scale**2 % p, y * scale**3 % p, z * scale % p)
+        x, y, z = (c[None] for c in curve_model._add_affine(R, Q, a, p))
+        inf = curve_model._to_affine(x, y, z, p, curve_model._bits(p - 2))[0]
         assert inf.tolist() == want[2].tolist()
-        assert (x[~inf].tolist(), y[~inf].tolist()) == (want[0][~inf].tolist(), want[1][~inf].tolist())
+        assert (x[0][~inf].tolist(), y[0][~inf].tolist()) == (want[0][~inf].tolist(), want[1][~inf].tolist())
+
+    def test_doubling_in_jacobian_coordinates(self):
+        # on the same curve: 2 (3, 10) = (7, 12) from scaled representatives,
+        # and the 2-torsion point (4, 0), scaled or not, doubles to O
+        p = np.full(4, 23)
+        scale = np.array([1, 7, 1, 7])
+        x, y = np.array([3, 3, 4, 4]), np.array([10, 10, 0, 0])
+        R = (x * scale**2 % p, y * scale**3 % p, scale)
+        x, y, z = (c[None] for c in curve_model._double(R, np.full(4, 1), p))
+        inf = curve_model._to_affine(x, y, z, p, curve_model._bits(p - 2))[0]
+        assert inf.tolist() == [False, False, True, True]
+        assert (x[0, :2].tolist(), y[0, :2].tolist()) == ([7, 7], [12, 12])
+
+    def test_scaled_representatives_normalize_to_one_point(self):
+        # (l^2 x, l^3 y, l) is (x, y) for every l != 0 mod p; l = 0 is O
+        p = np.full(23, 23)
+        lam = np.arange(23)
+        X, Y, Z = (lam**2 * 3 % p)[None], (lam**3 * 10 % p)[None], lam[None].copy()
+        inf = curve_model._to_affine(X, Y, Z, p, curve_model._bits(p - 2))[0]
+        assert inf.tolist() == [True] + [False] * 22
+        assert (X[0, 1:].tolist(), Y[0, 1:].tolist()) == ([3] * 22, [10] * 22)
+
+    @pytest.mark.parametrize("dtype", [np.int64, object])
+    def test_simultaneous_inversion(self, dtype):
+        # each column has its own prime, one above 2^31 in Python integers;
+        # a 0 stays 0, and the rest match pow(z, -1, p) entry by entry
+        primes = [23, 30011, 2_147_483_647] + ([3_037_000_493] if dtype is object else [])
+        rng = np.random.default_rng(7)
+        z = np.array([[int(rng.integers(1, q)) for q in primes] for _ in range(6)], dtype=dtype)
+        z[2, 0] = z[0, 1] = z[5, -1] = 0
+        p = np.array(primes, dtype=dtype)
+        inv = z.copy()
+        curve_model._invert(inv, p, curve_model._bits(p - 2))
+        want = [[pow(int(v), -1, q) if v else 0 for v, q in zip(row, primes)] for row in z.tolist()]
+        assert [[int(v) for v in row] for row in inv.tolist()] == want
+
+    def test_at_most_four_fermat_powers_per_kernel_call(self, monkeypatch):
+        # the three tables' inversions and the square test, whatever p is
+        calls = []
+        pow_mod = curve_model._pow_mod
+
+        def spy(*args):
+            calls.append(1)
+            return pow_mod(*args)
+
+        monkeypatch.setattr(curve_model, "_pow_mod", spy)
+        for primes in ([30011, 30013], [999_983], [3_037_000_493]):
+            calls.clear()
+            dtype = np.int64 if max(primes) < 2**31 else object
+            p = np.array(primes, dtype=dtype)
+            one = np.ones(len(p), dtype=dtype)
+            curve_model._bsgs_traces(p, one, 3 * one, one)  # d = f(1) on y^2 = x^3 + x + 1
+            assert len(calls) <= 4
+
+    def test_largest_prime_on_the_int64_path(self):
+        # 2^31 - 1 is the largest prime whose residues stay int64: every
+        # product of two of them stays below 2^62
+        assert count_points_fp(E11_WEIERSTRASS, 2_147_483_647) == 37073
 
     def test_primes_above_2_to_the_31(self):
         # residues leave int64 for Python integers here; 3037000493 is the

@@ -99,3 +99,27 @@ def test_cli_start_up_imports_no_scipy():
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True)
     assert proc.stdout.split("\n")[:2] == ["[]", "True"]
+
+
+def test_commands_import_no_numpy_ma(tmp_path):
+    # numpy.ma is imported cold by np.unique (numpy >= 2.4) and took 17-33 ms
+    # of an ap-count run; no command needs it
+    commands = [
+        ["ap-count", "--config", "e11", "--p-max", "3000", "--euler-s", "-0.5", "--out", "ap.csv"],
+        ["density", "--n", "2", "--cutoff", "0.001466", "--grid", "50", "--out", "density.csv"],
+        ["sample", "--n", "2", "--cutoff", "0.001466", "--count", "200", "--seed", "1",
+         "--histogram", "one-level", "--out", "sample.csv"],
+    ]
+    code = (
+        "import sys\n"
+        "import excised_ensemble.cli\n"
+        "assert excised_ensemble.cli.main(sys.argv[1:]) == 0\n"
+        "print('numpy.ma' in sys.modules)\n"
+    )
+    src = str(Path(excised_ensemble.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    for argv in commands:
+        proc = subprocess.run(
+            [sys.executable, "-c", code, *argv], capture_output=True, text=True, env=env, cwd=tmp_path, check=True
+        )
+        assert proc.stdout.split("\n")[-2] == "False", argv
