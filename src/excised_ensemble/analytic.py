@@ -181,18 +181,22 @@ def value_cumulative_small_x(n_pairs: int, x) -> float:
 
 
 def theta_inf(n_pairs: int, log_cutoff: float) -> float:
-    """Hard-gap edge arccos(1 - 2^-(2N-1) e^X); no eigenphase of the excised
-    ensemble lies below it."""
+    """Hard-gap edge 2 arcsin(2^-N e^(X/2)), where 2^(2N) sin^2(theta / 2) = e^X;
+    no eigenphase of the excised ensemble lies below it.  This is
+    arccos(1 - 2^-(2N-1) e^X) without its cancellation, so it keeps full
+    relative precision when the edge nears 0 (large N or deep cutoffs)."""
     if log_cutoff >= 2 * n_pairs * _LOG2:
         raise DomainError("cutoff at or above the attainable maximum: ensemble is empty")
-    return float(np.arccos(1.0 - 2.0 ** (-(2 * n_pairs - 1)) * np.exp(log_cutoff)))
+    return float(2.0 * np.arcsin(np.exp(log_cutoff / 2 - n_pairs * _LOG2)))
 
 
 def gap_margin(n_pairs: int, log_cutoff: float, theta):
-    """d(theta, X) = (2N-1) log 2 + log(1-cos theta) - X; negative inside the hard gap."""
+    """d(theta, X) = 2N log 2 + 2 log sin(theta / 2) - X, the same as
+    (2N-1) log 2 + log(1 - cos theta) - X but finite down to the smallest theta;
+    negative inside the hard gap."""
     th = np.asarray(theta, dtype=float)
     with np.errstate(divide="ignore"):
-        out = (2 * n_pairs - 1) * _LOG2 + np.log1p(-np.cos(th)) - log_cutoff
+        out = 2 * n_pairs * _LOG2 + 2 * np.log(np.sin(th / 2)) - log_cutoff
     return float(out) if out.ndim == 0 else out
 
 

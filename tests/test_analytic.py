@@ -182,6 +182,23 @@ class TestThetaInf:
         with pytest.raises(DomainError):
             theta_inf(1, np.log(4.0))
 
+    @pytest.mark.parametrize("n_pairs", [12, 24, 40, 100])
+    def test_edge_and_margin_match_mpmath(self, n_pairs):
+        # at the paper's cutoff arccos(1 - 2^-(2N-1) e^X) is off by 3e-8 at N = 12 and reads 0 from N = 24
+        mp = pytest.importorskip("mpmath")
+        mp.mp.dps = 40
+        log_cutoff = np.log(0.005424)
+        edge = 2 * mp.asin(mp.mpf(2) ** -n_pairs * mp.exp(mp.mpf(log_cutoff) / 2))
+        assert abs(theta_inf(n_pairs, log_cutoff) / edge - 1) < 1e-12
+        for theta in (float(edge) * 1.5, float(edge) * 1e3, 1e-9, 1.0):
+            margin = 2 * n_pairs * mp.log(2) + 2 * mp.log(mp.sin(mp.mpf(theta) / 2)) - mp.mpf(log_cutoff)
+            assert abs(gap_margin(n_pairs, log_cutoff, theta) - margin) < 1e-12 * abs(margin), theta
+
+    def test_margin_is_finite_below_the_cosine_resolution(self):
+        # log1p(-cos theta) is -inf for theta below about 1e-8
+        assert np.isfinite(gap_margin(12, np.log(0.005424), 1e-9))
+        assert gap_margin(2, X_TENTH, theta_inf(2, X_TENTH)) == pytest.approx(0.0, abs=1e-13)
+
 
 class TestNormalizationRatio:
     def test_so2_closed_form(self):

@@ -75,7 +75,7 @@ class TestSampleExcised:
 
     @pytest.mark.parametrize(
         "n_pairs, log_cutoff, count, workers",
-        [(2, X_TENTH, 2000, 1), (12, np.log(0.005424), 1000, 2)],
+        [(1, X_TENTH, 2000, 1), (2, X_TENTH, 2000, 1), (3, X_TENTH, 1000, 1), (12, np.log(0.005424), 1000, 2)],
     )
     def test_batch_split_does_not_change_the_draws(self, monkeypatch, n_pairs, log_cutoff, count, workers):
         # the accept loop relies on draws not depending on how they are split into batches
@@ -88,17 +88,22 @@ class TestSampleExcised:
         assert sa.total_drawn > 257 * workers
 
     def test_phase_rounding_to_zero_is_still_accepted(self):
-        # every draw, by either route, is a spectrum whose phase rounds to 0:
-        # Beta variables of 1e-20 give x = 2 - 4e-20, and identity Gaussians give
-        # the identity rotation; log Lambda = log 4e-20 clears X = -1e9
+        # every draw, by any route, is a spectrum whose phase rounds to 0:
+        # uniforms of 1 - 2^-53 give the arcsine variable y = sin^2(pi 2^-54) = 3e-32
+        # and Beta variables of 1e-20 give y = 1e-20, so x = 2 - 4y; identity
+        # Gaussians give the identity rotation; log Lambda = log 4y clears X = -1e9
         class PhaseZeroGenerator:
+            def random(self, size):
+                return np.full(size, 1 - 2.0**-53)
+
             def beta(self, a, b, size):
                 return np.full(size, 1e-20)
 
             def standard_normal(self, size):
                 return np.broadcast_to(np.eye(size[-1]), size).copy()
 
-        phases, total = ensemble_module._sample_excised_single(ExcisionSpec(1, -1e9), 5, PhaseZeroGenerator())
+        phases = np.empty((5, 1))
+        total = ensemble_module._sample_excised_single(ExcisionSpec(1, -1e9), phases, PhaseZeroGenerator())
         assert np.array_equal(phases, np.zeros((5, 1)))
         assert total == 5
 

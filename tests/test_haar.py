@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from scipy.special import digamma
+from scipy.stats import beta as beta_dist
 from scipy.stats import chi2, ks_2samp, kstest
 
 from excised_ensemble.analytic import moments_so2n, r1_so2n_unscaled
@@ -96,6 +98,19 @@ class TestTridiagonalModel:
         with pytest.raises(DomainError):
             sample_beta_batch(0, 1, np.random.default_rng(1))
 
+    @pytest.mark.parametrize("n_pairs", [1, 2, 3])
+    def test_each_column_has_its_beta_law(self, n_pairs):
+        # uniform transforms at N <= 2, numpy's Beta sampler at N = 3; nine KS tests in all, each at 0.1%
+        betas = sample_beta_batch(n_pairs, 200_000, np.random.default_rng(160 + n_pairs))
+        assert np.all((betas > 0) & (betas <= 1))
+        for k, column in enumerate(betas.T):
+            c = (2 * n_pairs - 1 - k) / 2
+            assert kstest(column, beta_dist(c, c).cdf).pvalue > 1e-3, k
+            # E log y = psi(c) - psi(2c) for y ~ Beta(c, c)
+            logs = np.log(column)
+            stderr = logs.std(ddof=1) / np.sqrt(len(logs))
+            assert abs(logs.mean() - (digamma(c) - digamma(2 * c))) <= 4 * stderr, k
+
     @pytest.mark.parametrize("n_pairs", [1, 2, 3, 12])
     def test_moments_match_exact(self, n_pairs):
         log_lambda = beta_log_char_poly_batch(sample_beta_batch(n_pairs, 200_000, np.random.default_rng(70 + n_pairs)))
@@ -137,7 +152,7 @@ class TestTridiagonalModel:
 
     @pytest.mark.parametrize("n_pairs", [2, 12])
     def test_first_phase_matches_qr_reference(self, n_pairs):
-        ours = tridiagonal_phases(n_pairs, 10_000, 110 + n_pairs)[:, 0]
+        ours = tridiagonal_phases(n_pairs, 10_000, 210 + n_pairs)[:, 0]
         reference = eigenphases_batch(sample_so2n_batch(n_pairs, 10_000, np.random.default_rng(120 + n_pairs)))[:, 0]
         assert ks_2samp(ours, reference).pvalue > 0.01
 
