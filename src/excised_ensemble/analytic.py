@@ -87,8 +87,9 @@ def _is_real(z) -> bool:
 
 def _log_gamma_run(z, count: int):
     """sum_{j<count} log Gamma(z+j) = count log Gamma(z) + sum_j (count-1-j) log(z+j):
-    one log-Gamma evaluation plus count-1 logarithms.  Equal to the term-by-term
-    sum modulo 2 pi i, which its exponential does not see."""
+    one log-Gamma evaluation plus count-1 logarithms.  Off the negative real
+    axis log Gamma(z+1) = log Gamma(z) + log z on the principal branches, so
+    this is the principal sum, imaginary part included."""
     total = count * log_gamma(z)
     z = np.asarray(z, dtype=complex)
     for j in range(count - 1):

@@ -88,32 +88,25 @@ def _sampling_spec(args) -> ensemble.ExcisionSpec:
 
 
 def _cmd_sample(args) -> int:
+    """`sample`, and `first-eigenvalue`, whose parser has neither --histogram
+    (it is always "first") nor --dump-spectra."""
     spec = _sampling_spec(args)
-    first = args.histogram == "first"
+    histogram = getattr(args, "histogram", "first")
+    dump_spectra = getattr(args, "dump_spectra", None)
+    first = histogram == "first"
     # --bins and --scale are checked in every mode before sampling
     edges = ensemble.default_bin_edges(args.bins, scale=args.scale)
     if not first:
         edges = ensemble.default_bin_edges(args.bins)  # one-level densities bin raw phases on [0, pi]
     spectra, summary = ensemble.sample_excised(spec, args.count, args.seed, workers=args.workers)
-    if args.histogram != "none":
+    if histogram != "none":
         if first:
             hist = ensemble.first_eigenvalue_distribution(spectra, edges, scale=args.scale)
         else:
             hist = ensemble.empirical_one_level_density(spectra, edges)
         ensemble.write_histogram_csv(hist, args.out)
-    if args.dump_spectra:
-        write_spectra_csv(args.dump_spectra, spectra)
-    payload = _run_summary(args, **ensemble.summary_json_dict(summary, spec, args.seed))
-    _write_json(payload, args.summary)
-    return 0
-
-
-def _cmd_first_eigenvalue(args) -> int:
-    spec = _sampling_spec(args)
-    edges = ensemble.default_bin_edges(args.bins, scale=args.scale)
-    spectra, summary = ensemble.sample_excised(spec, args.count, args.seed, workers=args.workers)
-    hist = ensemble.first_eigenvalue_distribution(spectra, edges, scale=args.scale)
-    ensemble.write_histogram_csv(hist, args.out)
+    if dump_spectra:
+        write_spectra_csv(dump_spectra, spectra)
     payload = _run_summary(args, **ensemble.summary_json_dict(summary, spec, args.seed))
     _write_json(payload, args.summary)
     return 0
@@ -232,7 +225,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_sampling_flags(p)
     p.add_argument("--out", default="first_eigenvalue.csv")
     p.add_argument("--summary", default="summary.json")
-    p.set_defaults(func=_cmd_first_eigenvalue)
+    p.set_defaults(func=_cmd_sample)
 
     p = sub.add_parser("density", help="analytic excised one-level density on a theta grid")
     p.add_argument("--n", type=int, required=True)

@@ -7,6 +7,7 @@ from __future__ import annotations
 
 import csv
 import functools
+import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
@@ -167,8 +168,9 @@ def sample_excised(spec: ExcisionSpec, count: int, seed, workers: int = 1):
     at N <= 2, `eigvalsh` above), and a DomainError is raised when the
     acceptance rate falls below 1e-6.  With
     `workers` > 1 the draw is split across independently seeded substreams
-    (spawned from `seed`), so results are deterministic for fixed
-    (seed, workers) and independent of scheduling.
+    (spawned from `seed`) and run on at most `os.cpu_count()` threads, so
+    results are deterministic for fixed (seed, workers) and independent of
+    scheduling.
 
     Returns (spectra, summary): spectra has shape (count, N), rows sorted.
     """
@@ -181,7 +183,7 @@ def sample_excised(spec: ExcisionSpec, count: int, seed, workers: int = 1):
     starts = np.cumsum([0] + shares)
     rngs = [np.random.default_rng(s) for s in seq.spawn(workers)]
     spectra = np.empty((count, spec.n_pairs))
-    with ThreadPoolExecutor(max_workers=workers) as pool:
+    with ThreadPoolExecutor(max_workers=min(workers, os.cpu_count() or 1)) as pool:
         futures = [
             pool.submit(_sample_excised_single, spec, spectra[start : start + share], rng)
             for start, share, rng in zip(starts, shares, rngs)

@@ -4,10 +4,10 @@ polynomials of general (complex) order.
 log-Gamma is the principal branch by the scheme of Hare (J. Algorithms 25,
 1997), the one scipy.special.loggamma implements: Stirling's series with eight
 Bernoulli terms where Re z > 7 or |Im z| > 7; elsewhere an upward shift to
-Re > 7, the branch of the shift product's logarithm counted from the turns of
-its argument; and the reflection formula for Re z < 0.1.  The shifts of an
-array run in lockstep, each entry taking its own number of steps, so no entry
-depends on the others.  Real positive scalars go to math.lgamma.
+Re > 7, less the sum of the principal logarithms of the shift's factors; and
+the reflection formula for Re z < 0.1.  The shifts of an array run in
+lockstep, each entry taking its own number of steps, so no entry depends on
+the others.  Real positive scalars go to math.lgamma.
 
 Jacobi polynomials are evaluated by one explicit sum (DLMF 18.5.7), which is a
 polynomial in the orders alpha, beta and so holds for any complex values: no
@@ -87,23 +87,17 @@ def _stirling(z):
     return out
 
 
-def _log_shift_product(w):
-    """(n, log(w (w+1) ... (w+n-1))) for Re w >= 0.1, n per entry the fewest
-    steps to Re w + n > 7.  Each factor has Re > 0 and the sign of Im w, so it
-    turns the running product by less than pi/2, always the same way, and the
-    product's principal logarithm has lost 2 pi each time the product crosses
-    the real axis to the side opposite w."""
+def _log_shift(w):
+    """(n, log Gamma(w+n) - log Gamma(w)) for Re w >= 0.1, n per entry the fewest
+    steps to Re w + n > 7: the sum of the principal logs of w, w+1, ..., w+n-1.
+    log Gamma(z+1) = log Gamma(z) + log z holds on the principal branches off
+    the negative real axis, and every factor has Re > 0, so the sum needs no
+    branch correction."""
     steps = np.floor(_STIRLING_FROM - w.real) + 1.0
-    prod = w.copy()
-    imag = np.empty((int(np.max(steps, initial=1.0)), w.size))
-    imag[0] = w.imag
-    for k in range(1, len(imag)):
-        prod *= np.where(k < steps, w + k, 1.0)
-        imag[k] = prod.imag
-    crossed = imag * np.copysign(1.0, w.imag) < 0
-    turns = np.count_nonzero(crossed[1:] > crossed[:-1], axis=0)
-    out = _log(prod)
-    out.imag += np.copysign(2.0 * np.pi, w.imag) * turns
+    out = _log(w)
+    for k in range(1, int(np.max(steps, initial=1.0))):
+        take = k < steps
+        out[take] += _log(w[take] + k)
     return steps, out
 
 
@@ -146,7 +140,7 @@ def log_gamma(z):
     reflect = small_im & (z.real < _REFLECT_BELOW)
     w = np.where(reflect, 1.0 - z, z)
     near = small_im & (w.real <= _STIRLING_FROM)
-    steps, log_shift = _log_shift_product(w[near])
+    steps, log_shift = _log_shift(w[near])
     w[near] += steps
     out = _stirling(w)
     out[near] -= log_shift

@@ -73,6 +73,24 @@ class TestSampleExcised:
         assert np.array_equal(a, b)
         assert len(a) == 3000
 
+    def test_threads_are_capped_at_the_cpu_count(self, monkeypatch):
+        # `workers` still sets the shares and substreams, so only the thread count changes
+        spec = ExcisionSpec(2, X_TENTH)
+        a, sa = sample_excised(spec, 2000, seed=23, workers=8)
+        pools = []
+
+        class RecordingPool(ensemble_module.ThreadPoolExecutor):
+            def __init__(self, max_workers=None, **kwargs):
+                pools.append(max_workers)
+                super().__init__(max_workers=max_workers, **kwargs)
+
+        monkeypatch.setattr(ensemble_module.os, "cpu_count", lambda: 2)
+        monkeypatch.setattr(ensemble_module, "ThreadPoolExecutor", RecordingPool)
+        b, sb = sample_excised(spec, 2000, seed=23, workers=8)
+        assert pools and max(pools) <= 2
+        assert np.array_equal(a, b)
+        assert sa == sb
+
     @pytest.mark.parametrize(
         "n_pairs, log_cutoff, count, workers",
         [(1, X_TENTH, 2000, 1), (2, X_TENTH, 2000, 1), (3, X_TENTH, 1000, 1), (12, np.log(0.005424), 1000, 2)],

@@ -136,6 +136,14 @@ class TestLogGammaOracles:
             reference = np.array([complex(mp.loggamma(mp.mpc(v.real, v.imag))) for v in z])
         assert _scaled_error(log_gamma(z), reference) <= 24 * EPS
 
+    @pytest.mark.parametrize("count", [1, 2, 12, 35])
+    def test_gamma_run_is_the_principal_sum(self, count):
+        # the run's one log-Gamma plus logarithms lands on the principal branch, no 2 pi i off;
+        # the shifts by 1/2, N and N + 1 are those the moments' and the integrand's runs take
+        z = _circle_arguments(count)[[0, 1, 3]]
+        termwise = sum(log_gamma(z + j) for j in range(count))
+        assert _scaled_error(analytic._log_gamma_run(z, count), termwise) <= 32 * EPS
+
     @pytest.mark.parametrize("x", NEGATIVE_REALS)
     @pytest.mark.parametrize("zero", [0.0, -0.0], ids=["plus0", "minus0"])
     def test_negative_real_axis_takes_scipy_branch(self, x, zero):
