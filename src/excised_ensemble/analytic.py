@@ -16,7 +16,6 @@ e^(r d) splits into one table shared by every pole and one scalar per
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass
 
@@ -49,7 +48,6 @@ __all__ = [
     "theta_inf",
     "gap_margin",
     "density_grid",
-    "write_density_csv",
 ]
 
 _LOG2 = np.log(2.0)
@@ -353,21 +351,30 @@ def _residue_series(residue, truncation_K: int, at_zero):
     `residue(centers)` returns the residue at each of `centers` and the size
     of its rounding error in units of eps, one row per center.  `value` is
     `at_zero`, the residue at r = 0 in closed form, plus the contour residues
-    at -1/2, -3/2, ..., -(2K+1)/2.  `error` is |residue| at -(2K+3)/2, the
-    truncation tail, plus the rounding floor: eps times |at_zero| and the
-    summed sizes of the residues.
+    r_0, ..., r_K at -1/2, -3/2, ..., -(2K+1)/2.  `error` is the truncation
+    tail plus the rounding floor: eps times |at_zero| and the summed sizes of
+    the residues.  The tail is 2 |r_(K+1)| / (1 - q), q the larger of
+    |r_(K+1) / r_K| and |r_(K+2) / r_(K+1)|: the remainder of a geometric
+    series of ratio q, doubled for a ratio that still creeps up, and infinite
+    when q >= 1.  |r_(K+1)| alone undercounts the remainder where the residues
+    decay slowly, as next to the hard-gap edge.
     """
-    res, sizes = residue(-(2 * np.arange(truncation_K + 2) + 1) / 2.0)
-    total, magnitude = sum(res[:-1]), sum(sizes[:-1])
-    return at_zero + np.real(total), np.abs(res[-1]) + _EPS * (np.abs(at_zero) + magnitude)
+    res, sizes = residue(-(2 * np.arange(truncation_K + 3) + 1) / 2.0)
+    total, magnitude = sum(res[:-2]), sum(sizes[:-2])
+    last, left_out, after = np.abs(res[-3:])
+    with np.errstate(divide="ignore", invalid="ignore"):
+        q = np.fmax(left_out / last, after / left_out)
+        tail = np.where(left_out == 0, 0.0, np.where(q < 1, 2 * left_out / (1 - q), np.inf))
+    return at_zero + np.real(total), tail + _EPS * (np.abs(at_zero) + magnitude)
 
 
 @dataclass(frozen=True)
 class NormalizationResult:
     """The Haar probability P(log Lambda >= X), summed as a residue series
     (1 at r = 0, then contour residues at -1/2, -3/2, ...), and
-    `tail_estimate`, the magnitude of the first residue left out plus the
-    rounding floor, as in `DensityGrid.tails`."""
+    `tail_estimate`, the bound on the residues left out (a geometric tail
+    from the first two of them, see `_residue_series`) plus the rounding
+    floor, as in `DensityGrid.tails`."""
 
     value: float
     tail_estimate: float
@@ -379,8 +386,8 @@ def normalization_ratio(n_pairs: int, log_cutoff: float, truncation_K: int = 10)
 
     Raises DomainError when the truncated series does not lie in (0, 1]: for
     large N it is summed outside the range where it converges.  Also raises
-    when it is not certified to 1e-10: when its error, the next pole's
-    residue plus the rounding floor, exceeds it.
+    when it is not certified to 1e-10: when its error, the geometric bound on
+    the residues left out plus the rounding floor, exceeds it.
     """
     if n_pairs < 1:
         raise DomainError("n_pairs must be >= 1")
@@ -484,9 +491,10 @@ def r1_excised_line_integral(n_pairs: int, log_cutoff: float, theta: float, c: f
 class DensityGrid:
     """Excised one-level density on an ascending theta grid.  `tails` holds the
     error estimate, divided by the ratio like the values, of the route that
-    produced each value: the next pole's residue plus the rounding floor, or
-    the parabola's where `line_route` is set.  `ratio` is the normalization
-    the values were divided by."""
+    produced each value: the geometric bound on the residues left out plus
+    the rounding floor (`_residue_series`), or the parabola's where
+    `line_route` is set.  `ratio` is the normalization the values were
+    divided by."""
 
     thetas: np.ndarray
     values: np.ndarray
@@ -538,11 +546,3 @@ def density_grid(n_pairs: int, log_cutoff: float, thetas, truncation_K: int = 10
         i = np.argmax(below)
         raise DomainError(f"density {values[i]:.6g} at theta={float(thetas[i])!r} is below -tail = {-tails[i]:.2g}")
     return DensityGrid(thetas, np.maximum(values, 0.0), tails, line_route, ratio)
-
-
-def write_density_csv(grid: DensityGrid, path) -> None:
-    with open(path, "w", newline="\n") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["theta", "r1"])
-        for t, v in zip(grid.thetas, grid.values):
-            writer.writerow([repr(float(t)), repr(float(v))])

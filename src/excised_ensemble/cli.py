@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import json
 import sys
 from importlib import resources
@@ -22,9 +23,8 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from . import analytic, curve_model, ensemble
+from . import analytic, curve_model, ensemble, haar
 from .errors import DomainError
-from .haar import write_spectra_csv
 
 
 def _resolve_config_path(value: str) -> str:
@@ -52,6 +52,16 @@ def _resolve_log_cutoff(args) -> float:
     if not log_cutoff > -np.inf:
         raise DomainError(f"the log cutoff must be a number above -inf, not {log_cutoff}")
     return log_cutoff
+
+
+def _write_csv(path, header, rows) -> None:
+    """The spectra, density and a(p) CSVs: a header, then the rows, lines
+    ending in a bare newline.  Rows hold Python numbers, and `csv` writes a
+    float as its shortest repr, so every value reads back exactly."""
+    with open(path, "w", newline="\n") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(header)
+        writer.writerows(rows)
 
 
 def _write_json(payload: dict, path) -> None:
@@ -106,8 +116,9 @@ def _cmd_sample(args) -> int:
             hist = ensemble.empirical_one_level_density(spectra, edges)
         ensemble.write_histogram_csv(hist, args.out)
     if dump_spectra:
-        write_spectra_csv(dump_spectra, spectra)
-    payload = _run_summary(args, **ensemble.summary_json_dict(summary, spec, args.seed))
+        header = [f"theta_{j + 1}" for j in range(spec.n_pairs)] + ["log_lambda"]
+        _write_csv(dump_spectra, header, np.column_stack([spectra, haar.log_char_poly_batch(spectra)]).tolist())
+    payload = _run_summary(args, **dataclasses.asdict(summary), n_pairs=spec.n_pairs, log_cutoff=spec.log_cutoff)
     _write_json(payload, args.summary)
     return 0
 
@@ -118,7 +129,7 @@ def _cmd_density(args) -> int:
         raise DomainError("--grid must be >= 1")
     thetas = np.linspace(0.0, np.pi, args.grid)
     grid = analytic.density_grid(args.n, log_cutoff, thetas)
-    analytic.write_density_csv(grid, args.out)
+    _write_csv(args.out, ["theta", "r1"], zip(grid.thetas.tolist(), grid.values.tolist()))
     ratio = grid.ratio
     payload = _run_summary(
         args,
@@ -156,12 +167,10 @@ def _cmd_cutoff(args) -> int:
 def _cmd_ap_count(args) -> int:
     params, _ = curve_model.read_curve_config(_resolve_config_path(args.config))
     a_p = curve_model.point_counts(params.weierstrass, args.p_max, params.conductor_M)
-    with open(args.out, "w", newline="\n") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["p", "a_p", "lambda_p"])
-        p, a = np.array(list(a_p.items())).T
-        keep = p <= args.p_max  # not the conductor above p_max
-        writer.writerows(zip(p[keep].tolist(), a[keep].tolist(), (a / np.sqrt(p))[keep].tolist()))
+    p, a = np.array(list(a_p.items())).T
+    keep = p <= args.p_max  # not the conductor above p_max
+    rows = zip(p[keep].tolist(), a[keep].tolist(), (a / np.sqrt(p))[keep].tolist())
+    _write_csv(args.out, ["p", "a_p", "lambda_p"], rows)
     extra = {}
     if args.euler_s is not None:
         result = curve_model.a_s_truncated(a_p, params.conductor_M, params.sign_omega, args.euler_s, args.p_max)

@@ -34,7 +34,6 @@ __all__ = [
     "cdf_distance",
     "write_histogram_csv",
     "read_histogram_csv",
-    "summary_json_dict",
 ]
 
 _ACCEPTANCE_PROBE = 100_000
@@ -260,16 +259,3 @@ def read_histogram_csv(path) -> Histogram:
     edges = np.asarray(lefts + [rights[-1]], dtype=float)
     vals = np.asarray(vals, dtype=float)
     return Histogram(edges, vals * np.diff(edges))
-
-
-def summary_json_dict(summary: SampleSummary, spec: ExcisionSpec, seed) -> dict:
-    return {
-        "total_drawn": summary.total_drawn,
-        "accepted": summary.accepted,
-        "acceptance_rate": summary.acceptance_rate,
-        "mean_first_phase": summary.mean_first_phase,
-        "seed": seed,
-        "n_pairs": spec.n_pairs,
-        "log_cutoff": spec.log_cutoff,
-    }
-

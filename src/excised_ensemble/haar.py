@@ -27,7 +27,6 @@ symmetric eigen-solve.
 
 from __future__ import annotations
 
-import csv
 import functools
 
 import numpy as np
@@ -44,7 +43,6 @@ __all__ = [
     "eigenphases_batch",
     "log_char_poly_batch",
     "max_log_char_poly",
-    "write_spectra_csv",
 ]
 
 
@@ -205,15 +203,3 @@ def log_char_poly_batch(phases: np.ndarray) -> np.ndarray:
 def max_log_char_poly(n_pairs: int) -> float:
     """Upper bound 2N log 2 attained when all eigenvalues sit at -1."""
     return 2 * n_pairs * np.log(2.0)
-
-
-def write_spectra_csv(path, phases: np.ndarray) -> None:
-    """Raw spectrum dump: header theta_1,...,theta_N,log_lambda, one row per matrix."""
-    phases = np.atleast_2d(phases)
-    log_lambda = log_char_poly_batch(phases)
-    n = phases.shape[1]
-    with open(path, "w", newline="\n") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow([f"theta_{j + 1}" for j in range(n)] + ["log_lambda"])
-        for row, ll in zip(phases, log_lambda):
-            writer.writerow([repr(float(v)) for v in row] + [repr(float(ll))])

@@ -24,7 +24,6 @@ from excised_ensemble.analytic import (
     selberg_integral,
     theta_inf,
     value_cumulative_small_x,
-    write_density_csv,
 )
 from excised_ensemble.errors import DomainError
 
@@ -255,8 +254,9 @@ class TestNormalizationRatio:
 
     @pytest.mark.parametrize("n, log_cutoff", [(2, X_TENTH), (12, np.log(0.005424))])
     def test_tail_estimate_counts_the_rounding_floor(self, n, log_cutoff):
-        # like the density's tails, the estimate is the next pole's residue plus
-        # eps times the summed term magnitudes; the next residue alone is 2.6e-30 and 3.5e-32 here
+        # like the density's tails, the estimate is the geometric bound on the
+        # residues left out plus eps times the summed term magnitudes; that bound
+        # alone is 5.2e-30 and 6.9e-32 here
         ratio = normalization_ratio(n, log_cutoff)
         assert ratio.tail_estimate >= np.finfo(float).eps * ratio.value
 
@@ -462,6 +462,23 @@ class TestExcisedDensity:
         assert dg.line_route[:12].all()
         np.testing.assert_allclose(dg.values, exact, rtol=0, atol=1e-9)
 
+    @pytest.mark.parametrize(
+        "n, log_cutoff", [(2, X_TENTH), (2, np.log(0.001466)), (3, X_TENTH)], ids=["n2-0.1", "n2-0.001466", "n3-0.1"]
+    )
+    def test_residue_route_tail_bounds_the_remainder(self, n, log_cutoff):
+        # next to the gap edge the residues decay by a ratio near 0.19 per pole,
+        # and the first one left out undercounted the remainder: at N = 2,
+        # X = log 0.1, theta = 0.3372778661447192 the value was 5.6e-10 from
+        # the truncation_K = 40 sum against a tail of 4.5e-10; on these sweeps
+        # 28, 13 and 13 residue-route points missed by up to 1.26 times their tails
+        edge = theta_inf(n, log_cutoff)
+        thetas = np.concatenate([edge * (1 + np.geomspace(1e-9, 10.0, 300)), np.linspace(0, np.pi, 200)])
+        thetas = np.unique(np.append(thetas[thetas <= np.pi], 0.3372778661447192))
+        dg = density_grid(n, log_cutoff, thetas)
+        reference = density_grid(n, log_cutoff, thetas, truncation_K=40).values
+        residue_route = (gap_margin(n, log_cutoff, thetas) > 0) & ~dg.line_route
+        assert np.all(np.abs(dg.values - reference)[residue_route] <= dg.tails[residue_route])
+
     def test_negative_beyond_tail_raises(self, monkeypatch):
         # the line route once returned -1.8e13 near the edge, which was clipped to 0
         monkeypatch.setattr(analytic, "_line_quadrature", lambda *args: (-1.0, 1e-12))
@@ -599,12 +616,3 @@ class TestDensityGrid:
     def test_ratio_does_not_follow_the_density_truncation(self):
         dg = density_grid(2, X_TENTH, [1.0], truncation_K=40)
         assert dg.ratio.value == normalization_ratio(2, X_TENTH).value
-
-    def test_csv_output(self, tmp_path):
-        grid = np.linspace(0, np.pi, 9)
-        dg = density_grid(2, X_TENTH, grid, truncation_K=4)
-        path = tmp_path / "density.csv"
-        write_density_csv(dg, path)
-        lines = path.read_text().strip().split("\n")
-        assert lines[0] == "theta,r1"
-        assert len(lines) == 10

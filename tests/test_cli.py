@@ -6,6 +6,7 @@ import pytest
 
 from excised_ensemble import analytic, curve_model, ensemble
 from excised_ensemble.cli import main
+from excised_ensemble.haar import log_char_poly_batch
 
 E11_CFG = str(resources.files("excised_ensemble.data") / "e11.cfg")
 
@@ -30,6 +31,18 @@ class TestDensityCommand:
         assert 0 < meta["normalization_ratio"] <= 1
         assert isinstance(meta["line_route_points"], int) and meta["line_route_points"] >= 1
         assert 0 <= meta["max_tail"] <= 1e-9
+
+    def test_csv_holds_the_density_grid(self, tmp_path):
+        out = tmp_path / "density.csv"
+        code = run(["density", "--n", 2, "--cutoff", 0.1, "--grid", 9, "--out", out, "--summary", tmp_path / "s.json"])
+        assert code == 0
+        header, *rows = out.read_text().split("\n")[:-1]
+        assert header == "theta,r1"
+        assert len(rows) == 9
+        fields = [row.split(",") for row in rows]
+        assert all(field == repr(float(field)) for row in fields for field in row)
+        grid = analytic.density_grid(2, np.log(0.1), np.linspace(0.0, np.pi, 9))
+        assert np.array_equal(np.array(fields, dtype=float), np.column_stack([grid.thetas, grid.values]))
 
     def test_ratio_outside_unit_interval_is_domain_error(self, tmp_path, capsys):
         # the residue series gives 1.21 here; nothing may be scaled by it
@@ -149,6 +162,19 @@ class TestSampleCommands:
         assert meta["parameters"]["count"] == 500
         assert "version" in meta
         assert dump.read_text().startswith("theta_1,theta_2,log_lambda")
+
+    def test_dumped_spectra(self, tmp_path):
+        dump = tmp_path / "spectra.csv"
+        code = run(["sample", "--n", 3, "--count", 4, "--seed", 0, "--dump-spectra", dump,
+                    "--out", tmp_path / "hist.csv", "--summary", tmp_path / "s.json"])
+        assert code == 0
+        header, *rows = dump.read_text().split("\n")[:-1]
+        assert header == "theta_1,theta_2,theta_3,log_lambda"
+        assert len(rows) == 4
+        fields = [row.split(",") for row in rows]
+        assert all(field == repr(float(field)) for row in fields for field in row)
+        table = np.array(fields, dtype=float)
+        assert np.array_equal(table[:, -1], log_char_poly_batch(table[:, :-1]))
 
     def test_deterministic_for_seed(self, tmp_path):
         outs = []

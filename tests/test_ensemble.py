@@ -1,5 +1,3 @@
-import json
-
 import numpy as np
 import pytest
 from scipy.stats import ks_2samp
@@ -15,7 +13,6 @@ from excised_ensemble.ensemble import (
     first_eigenvalue_distribution,
     read_histogram_csv,
     sample_excised,
-    summary_json_dict,
     write_histogram_csv,
 )
 from excised_ensemble.errors import DomainError
@@ -287,19 +284,6 @@ class TestCdfDistance:
         ha = first_eigenvalue_distribution(a, edges)
         hb = first_eigenvalue_distribution(b, edges)
         assert cdf_distance(ha, hb) < 0.01
-
-
-class TestSummaryJson:
-    def test_documented_schema(self):
-        spec = ExcisionSpec(2, X_TENTH)
-        _, summary = sample_excised(spec, 500, seed=17)
-        payload = json.loads(json.dumps(summary_json_dict(summary, spec, 17)))
-        assert set(payload) == {
-            "total_drawn", "accepted", "acceptance_rate", "mean_first_phase",
-            "seed", "n_pairs", "log_cutoff",
-        }
-        assert payload["accepted"] == 500
-        assert payload["seed"] == 17
 
 
 class TestCsvRoundTrip:

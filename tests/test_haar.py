@@ -15,7 +15,6 @@ from excised_ensemble.haar import (
     max_log_char_poly,
     sample_beta_batch,
     sample_so2n_batch,
-    write_spectra_csv,
 )
 
 
@@ -260,15 +259,3 @@ class TestEmpiricalDensity:
         expected = len(phases) * np.diff(bin_mass)
         stat = np.sum((counts - expected) ** 2 / expected)
         assert chi2.sf(stat, df=49) > 0.01
-
-
-class TestCsvDump:
-    def test_header_and_shape(self, tmp_path):
-        phases = eigenphases_batch(sample_so2n_batch(3, 4, np.random.default_rng(0)))
-        path = tmp_path / "spectra.csv"
-        write_spectra_csv(path, phases)
-        lines = path.read_text().strip().split("\n")
-        assert lines[0] == "theta_1,theta_2,theta_3,log_lambda"
-        assert len(lines) == 5
-        row = [float(v) for v in lines[1].split(",")]
-        assert row[-1] == pytest.approx(log_char_poly_batch(phases[:1])[0])

@@ -85,6 +85,15 @@ def test_every_public_name_has_a_caller_or_is_a_named_oracle():
     assert unreferenced == ORACLES
 
 
+def test_numerical_modules_write_no_files():
+    # `cli` writes every output file; these modules only compute
+    for name in ("haar", "analytic", "special_functions"):
+        tree = ast.parse(Path(excised_ensemble.__file__).with_name(f"{name}.py").read_text())
+        imported = {alias.name for node in ast.walk(tree) if isinstance(node, ast.Import) for alias in node.names}
+        imported |= {node.module for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)}
+        assert "csv" not in imported, name
+
+
 def test_cli_start_up_imports_no_scipy():
     # every run starts cold, and scipy.special alone took longer to import than
     # most runs spend working; the sampler's numpy.random is loaded up front
