@@ -11,7 +11,11 @@ as theta approaches the hard-gap edge, so wherever its error estimate misses
 a closed form; every other is a trapezoid sum on a circle with theta factored
 out: the Jacobi Wronskian is a cosine polynomial in theta, and the exponential
 e^(r d) splits into one table shared by every pole and one scalar per
-(point, pole).
+(point, pole).  The table holds only the half circle phi in [0, pi], the
+other half being its conjugate; the cosine coefficients of every circle come
+from as few Jacobi calls as keep each array within 8192 entries, and one
+complex and one real matrix product give every pole's values and their
+rounding sizes.
 """
 
 from __future__ import annotations
@@ -53,6 +57,7 @@ __all__ = [
 _LOG2 = np.log(2.0)
 _CONTOUR_RADIUS = 0.1
 _CONTOUR_NODES = 128
+_JACOBI_ENTRIES = 8192  # complex entries of one Jacobi array in the residue pass
 _RATIO_TOL = 1e-10
 _DENSITY_TOL = 1e-9
 _EPS = np.finfo(float).eps
@@ -312,33 +317,56 @@ def _density_residue(n_pairs: int, log_cutoff: float, thetas):
 
     On the circle r = c + rho e^(i phi), e^(r d) = e^((c+rho) d) T, where
     T = e^((rho e^(i phi) - rho) d) has modulus <= 1 and is one table shared
-    by every pole, and W = sum_k C_k cos k theta.  Each residue is then the row
-    sum of (T @ B) * cos k theta, B[m, k] = C_k(z_m) times the node's
-    rational factor and its Gamma factor over the circle's largest, times one
-    exponential per (point, pole), so no factor overflows into inf * 0.
-    `magnitude` sums the moduli of the same terms, (|T| @ |B|) * |cos k theta|,
-    plus `_exponent_size` times |residue|: the exponentials that a residue's
-    terms share err together and scale the residue as a whole.  The Gamma
-    factors of every circle are taken in one pass.
+    by every pole, and W = sum_k C_k cos k theta.  Each residue is then the
+    sum over nodes and k of T B cos k theta, B[m, k] = C_k(z_m) times the
+    node's rational factor and its Gamma factor over the circle's largest,
+    times one exponential per (point, pole), so no factor overflows into
+    inf * 0.  T(-phi) = conj T(phi), so the table holds only the nodes with
+    phi in [0, pi]: the node at -phi enters as conj(T conj B).  One complex
+    product of the half table with [B at phi | conj B at -phi] gives every
+    pole's sums, folded in place.  `magnitude` sums the moduli of the same
+    terms, one real product of |T| = e^(d rho (cos phi - 1)) with
+    |B(phi)| + |B(-phi)|, times |cos k theta|, plus `_exponent_size` times
+    |residue|: the exponentials that a residue's terms share err together
+    and scale the residue as a whole.  The Gamma factors of every circle are
+    taken in one pass, the cosine coefficients in as few calls as keep each
+    Jacobi array within _JACOBI_ENTRIES.
     """
     d = gap_margin(n_pairs, log_cutoff, thetas)
+    size = 2 * n_pairs - 1
     offsets = _contour_nodes(0.0)
-    table = np.exp(np.multiply.outer(d, offsets - _CONTOUR_RADIUS))
-    table_abs = np.abs(table)
-    cosines = np.cos(np.multiply.outer(thetas, np.arange(2 * n_pairs - 1)))
+    half = _CONTOUR_NODES // 2 + 1  # phi in [0, pi]
+    table = np.multiply.outer(d, offsets[:half] - _CONTOUR_RADIUS)
+    np.exp(table, out=table)
+    table_abs = np.multiply.outer(d, offsets[:half].real - _CONTOUR_RADIUS)
+    np.exp(table_abs, out=table_abs)
+    cosines = np.cos(np.multiply.outer(thetas, np.arange(size)))
+    per_call = max(1, _JACOBI_ENTRIES // (_CONTOUR_NODES * size))
 
     def residue(centers):
         z = _contour_nodes(centers)
         log_g = _log_integrand_gammas(n_pairs, z)
         top = np.max(log_g.real, axis=1, keepdims=True)
         weights = np.exp(log_g - top) * 2.0 * offsets / (z * (2 * n_pairs + z - 1)) / _CONTOUR_NODES
+        b = np.empty(z.shape + (size,), dtype=complex)
+        for start in range(0, len(centers), per_call):
+            b[start:start + per_call] = _wronskian_cosine_coefficients(n_pairs, z[start:start + per_call])
+        b *= weights[..., None]
+        # columns (phi or -phi, pole, k); the nodes at 0 and pi have no mirror
+        folded = np.zeros((half, 2, len(centers), size), dtype=complex)
+        folded[:, 0] = b[:, :half].swapaxes(0, 1)
+        np.conjugate(b[:, :half - 1:-1].swapaxes(0, 1), out=folded[1:half - 1, 1])
+        sums = (table @ folded.reshape(half, -1)).reshape(len(d), 2, len(centers), size)
+        np.conjugate(sums[:, 1], out=sums[:, 1])
+        sums[:, 0] += sums[:, 1]
+        values = np.einsum("pck,pk->cp", sums[:, 0], cosines)
+        del sums  # the pass's largest array
+        moduli = np.abs(folded)
+        sizes = (table_abs @ (moduli[:, 0] + moduli[:, 1]).reshape(half, -1)).reshape(len(d), len(centers), size)
+        magnitudes = np.einsum("pck,pk->cp", sizes, np.abs(cosines))
         scales = np.exp(np.multiply.outer(centers + _CONTOUR_RADIUS, d) + top)
-        values = np.empty(scales.shape, dtype=complex)
-        magnitudes = np.empty(scales.shape)
-        for row, scale in enumerate(scales):
-            b = weights[row, :, None] * _wronskian_cosine_coefficients(n_pairs, z[row])
-            values[row] = scale * np.sum((table @ b) * cosines, axis=1)
-            magnitudes[row] = scale * np.sum((table_abs @ np.abs(b)) * np.abs(cosines), axis=1)
+        values *= scales
+        magnitudes *= scales
         magnitudes += _exponent_size(n_pairs, np.abs(centers)[:, None] + _CONTOUR_RADIUS, d) * np.abs(values)
         return values, magnitudes
 
@@ -357,15 +385,21 @@ def _residue_series(residue, truncation_K: int, at_zero):
     |r_(K+1) / r_K| and |r_(K+2) / r_(K+1)|: the remainder of a geometric
     series of ratio q, doubled for a ratio that still creeps up, and infinite
     when q >= 1.  |r_(K+1)| alone undercounts the remainder where the residues
-    decay slowly, as next to the hard-gap edge.
+    decay slowly, as next to the hard-gap edge.  A ratio of two residues that
+    both lie below the rounding floor is rounding, not decay, and is left out
+    of q; with both left out the tail is 2 |r_(K+1)|.
     """
     res, sizes = residue(-(2 * np.arange(truncation_K + 3) + 1) / 2.0)
     total, magnitude = sum(res[:-2]), sum(sizes[:-2])
+    floor = _EPS * (np.abs(at_zero) + magnitude)
     last, left_out, after = np.abs(res[-3:])
     with np.errstate(divide="ignore", invalid="ignore"):
-        q = np.fmax(left_out / last, after / left_out)
+        q = np.fmax(
+            np.where(np.fmax(last, left_out) < floor, 0.0, left_out / last),
+            np.where(np.fmax(left_out, after) < floor, 0.0, after / left_out),
+        )
         tail = np.where(left_out == 0, 0.0, np.where(q < 1, 2 * left_out / (1 - q), np.inf))
-    return at_zero + np.real(total), tail + _EPS * (np.abs(at_zero) + magnitude)
+    return at_zero + np.real(total), tail + floor
 
 
 @dataclass(frozen=True)

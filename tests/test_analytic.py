@@ -1,5 +1,6 @@
 import itertools
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -260,6 +261,14 @@ class TestNormalizationRatio:
         ratio = normalization_ratio(n, log_cutoff)
         assert ratio.tail_estimate >= np.finfo(float).eps * ratio.value
 
+    def test_residues_below_the_rounding_floor_set_no_ratio(self):
+        # |r_10|, |r_11|, |r_12| are 2.2e-26, 1.1e-25 and 2.7e-27 here, against a
+        # rounding floor of 3.6e-14: their ratio 5 once made the tail infinite
+        ratio = normalization_ratio(3, 0.75)
+        longer = normalization_ratio(3, 0.75, truncation_K=12)
+        assert ratio.tail_estimate <= 1e-13
+        assert abs(ratio.value - longer.value) <= ratio.tail_estimate
+
     @given(st.integers(1, 12), st.floats(0.01, 45.0), st.floats(0.01, 45.0))
     @settings(max_examples=60, deadline=None)
     def test_certified_ratio_is_a_decreasing_probability(self, n, gap1, gap2):
@@ -479,6 +488,18 @@ class TestExcisedDensity:
         residue_route = (gap_margin(n, log_cutoff, thetas) > 0) & ~dg.line_route
         assert np.all(np.abs(dg.values - reference)[residue_route] <= dg.tails[residue_route])
 
+    def test_peak_memory_of_the_eff_n2_grid(self):
+        # full 128-node tables built out of place peaked at 7.83 MiB, the
+        # half-circle tables built in place at 6.1 MiB
+        thetas = np.linspace(0, np.pi, 2000)
+        tracemalloc.start()
+        try:
+            density_grid(2, np.log(0.001466), thetas)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 7.0 * 2**20
+
     def test_negative_beyond_tail_raises(self, monkeypatch):
         # the line route once returned -1.8e13 near the edge, which was clipped to 0
         monkeypatch.setattr(analytic, "_line_quadrature", lambda *args: (-1.0, 1e-12))
@@ -560,6 +581,25 @@ class TestFactoredResidues:
             residues = residues + np.mean(excised_integrand(n, log_cutoff, thetas[:, None], z) * (z - center), axis=1)
         assert thetas[-1] == np.pi
         assert np.all(np.abs(value - (closed + residues.real)) <= error)
+
+    @pytest.mark.parametrize(
+        "n,log_cutoff", [(1, -2.0), (2, np.log(0.001466)), (3, 0.75), (12, np.log(0.005424)), (24, -12.0), (40, -12.5)]
+    )
+    def test_batched_poles_match_one_pole_calls(self, n, log_cutoff):
+        centers = -(2 * np.arange(13) + 1) / 2.0
+        if n in (3, 12):  # the batched coefficients span more than one call
+            assert len(centers) > analytic._JACOBI_ENTRIES // (analytic._CONTOUR_NODES * (2 * n - 1))
+        thetas = np.linspace(0, np.pi, 101)
+        thetas = thetas[gap_margin(n, log_cutoff, thetas) > 0]
+        residue = analytic._density_residue(n, log_cutoff, thetas)
+        values, magnitudes = residue(centers)
+        for c in range(len(centers)):
+            (value,), (magnitude,) = residue(centers[c:c + 1])
+            # the product's summation order depends on its width; at N = 1 every
+            # contour residue is 0, and the two roundings differ by up to 1.6 eps
+            # times the magnitude here (2.6 on a 300-point grid)
+            assert np.all(np.abs(values[c] - value) <= 4 * np.finfo(float).eps * magnitude)
+            np.testing.assert_allclose(magnitudes[c], magnitude, rtol=1e-12, atol=0)
 
 
 class TestLineIntegral:

@@ -62,6 +62,13 @@ class TestDensityCommand:
         assert not out.exists()
         assert capsys.readouterr().err.startswith("error:")
 
+    def test_ratio_with_residues_below_the_rounding_floor(self, tmp_path):
+        # the ratio's last residues lie far below its rounding floor; their
+        # ratio once made its tail infinite and this command exit 1
+        code = run(["density", "--n", 3, "--cutoff-log", 0.75, "--grid", 20,
+                    "--out", tmp_path / "density.csv", "--summary", tmp_path / "s.json"])
+        assert code == 0
+
     def test_past_weyl_constant_overflow(self, tmp_path):
         # c_so2n overflows at N = 40, but the density never uses it
         out = tmp_path / "density.csv"
