@@ -11,11 +11,9 @@ as theta approaches the hard-gap edge, so wherever its error estimate misses
 a closed form; every other is a trapezoid sum on a circle with theta factored
 out: the Jacobi Wronskian is a cosine polynomial in theta, and the exponential
 e^(r d) splits into one table shared by every pole and one scalar per
-(point, pole).  The table holds only the half circle phi in [0, pi], the
-other half being its conjugate; the cosine coefficients of every circle come
-from as few Jacobi calls as keep each array within 8192 entries, and one
-complex and one real matrix product give every pole's values and their
-rounding sizes.
+(point, pole).  Every integrand is real on the real axis, so each circle is
+summed on its upper half only, and one complex and one real matrix product
+give every pole's values and their rounding sizes.
 """
 
 from __future__ import annotations
@@ -184,13 +182,22 @@ def value_cumulative_small_x(n_pairs: int, x) -> float:
     return float(out) if out.ndim == 0 else out
 
 
+def _check_ensemble(n_pairs: int, log_cutoff: float) -> None:
+    """The excised ensemble needs N >= 1 and a finite X below 2N log 2."""
+    if n_pairs < 1:
+        raise DomainError("n_pairs must be >= 1")
+    if not log_cutoff > -np.inf:
+        raise DomainError(f"the log cutoff must be a number above -inf, not {log_cutoff}")
+    if log_cutoff >= 2 * n_pairs * _LOG2:
+        raise DomainError("log_cutoff >= 2N log 2: the excised ensemble is empty")
+
+
 def theta_inf(n_pairs: int, log_cutoff: float) -> float:
     """Hard-gap edge 2 arcsin(2^-N e^(X/2)), where 2^(2N) sin^2(theta / 2) = e^X;
     no eigenphase of the excised ensemble lies below it.  This is
     arccos(1 - 2^-(2N-1) e^X) without its cancellation, so it keeps full
     relative precision when the edge nears 0 (large N or deep cutoffs)."""
-    if log_cutoff >= 2 * n_pairs * _LOG2:
-        raise DomainError("cutoff at or above the attainable maximum: ensemble is empty")
+    _check_ensemble(n_pairs, log_cutoff)
     return float(2.0 * np.arcsin(np.exp(log_cutoff / 2 - n_pairs * _LOG2)))
 
 
@@ -293,8 +300,13 @@ def _exponent_size(n_pairs: int, modulus, d):
 
 
 def _contour_nodes(centers):
-    """The trapezoid nodes on the circle around each center, shape centers.shape + (nodes,)."""
-    return np.add.outer(centers, _CONTOUR_RADIUS * np.exp(2j * np.pi * np.arange(_CONTOUR_NODES) / _CONTOUR_NODES))
+    """The trapezoid nodes with phi in [0, pi] on the circle around each center,
+    shape centers.shape + (65,), and their weights, 1/128 at phi = 0 and pi and
+    2/128 between: every integrand here is real on the real axis, so a circle's
+    mean over all 128 nodes is the real part of the weighted sum over these."""
+    nodes = np.exp(2j * np.pi * np.arange(_CONTOUR_NODES // 2 + 1) / _CONTOUR_NODES)
+    weights = np.r_[1.0, np.full(len(nodes) - 2, 2.0), 1.0] / _CONTOUR_NODES
+    return np.add.outer(centers, _CONTOUR_RADIUS * nodes), weights
 
 
 def _wronskian_cosine_coefficients(n_pairs: int, r):
@@ -318,51 +330,37 @@ def _density_residue(n_pairs: int, log_cutoff: float, thetas):
     On the circle r = c + rho e^(i phi), e^(r d) = e^((c+rho) d) T, where
     T = e^((rho e^(i phi) - rho) d) has modulus <= 1 and is one table shared
     by every pole, and W = sum_k C_k cos k theta.  Each residue is then the
-    sum over nodes and k of T B cos k theta, B[m, k] = C_k(z_m) times the
-    node's rational factor and its Gamma factor over the circle's largest,
-    times one exponential per (point, pole), so no factor overflows into
-    inf * 0.  T(-phi) = conj T(phi), so the table holds only the nodes with
-    phi in [0, pi]: the node at -phi enters as conj(T conj B).  One complex
-    product of the half table with [B at phi | conj B at -phi] gives every
-    pole's sums, folded in place.  `magnitude` sums the moduli of the same
-    terms, one real product of |T| = e^(d rho (cos phi - 1)) with
-    |B(phi)| + |B(-phi)|, times |cos k theta|, plus `_exponent_size` times
-    |residue|: the exponentials that a residue's terms share err together
-    and scale the residue as a whole.  The Gamma factors of every circle are
-    taken in one pass, the cosine coefficients in as few calls as keep each
-    Jacobi array within _JACOBI_ENTRIES.
+    real part of the sum over the half-circle nodes of `_contour_nodes` and
+    over k of T B cos k theta, B[m, k] = C_k(z_m) times the node's weight,
+    rational factor and Gamma factor over the circle's largest, times one
+    exponential per (point, pole), so no factor overflows into inf * 0: one
+    complex product of the table with B gives every pole's sums.  `magnitude`
+    sums the moduli of the same terms, one real product |T| |B|, contracted
+    with |cos k theta|, plus `_exponent_size` times |residue|: the
+    exponentials that a residue's terms share err together and scale the
+    residue as a whole.  The cosine coefficients take as few Jacobi calls as
+    keep each array within _JACOBI_ENTRIES.
     """
     d = gap_margin(n_pairs, log_cutoff, thetas)
     size = 2 * n_pairs - 1
-    offsets = _contour_nodes(0.0)
-    half = _CONTOUR_NODES // 2 + 1  # phi in [0, pi]
-    table = np.multiply.outer(d, offsets[:half] - _CONTOUR_RADIUS)
+    offsets, node_weights = _contour_nodes(0.0)
+    table = np.multiply.outer(d, offsets - _CONTOUR_RADIUS)
     np.exp(table, out=table)
-    table_abs = np.multiply.outer(d, offsets[:half].real - _CONTOUR_RADIUS)
-    np.exp(table_abs, out=table_abs)
+    table_abs = np.abs(table)
     cosines = np.cos(np.multiply.outer(thetas, np.arange(size)))
-    per_call = max(1, _JACOBI_ENTRIES // (_CONTOUR_NODES * size))
+    per_call = max(1, _JACOBI_ENTRIES // (len(offsets) * size))
 
     def residue(centers):
-        z = _contour_nodes(centers)
+        z = np.add.outer(centers, offsets)
         log_g = _log_integrand_gammas(n_pairs, z)
         top = np.max(log_g.real, axis=1, keepdims=True)
-        weights = np.exp(log_g - top) * 2.0 * offsets / (z * (2 * n_pairs + z - 1)) / _CONTOUR_NODES
-        b = np.empty(z.shape + (size,), dtype=complex)
-        for start in range(0, len(centers), per_call):
-            b[start:start + per_call] = _wronskian_cosine_coefficients(n_pairs, z[start:start + per_call])
+        weights = np.exp(log_g - top) * 2.0 * offsets / (z * (2 * n_pairs + z - 1)) * node_weights
+        b = np.concatenate([_wronskian_cosine_coefficients(n_pairs, z[start:start + per_call])
+                            for start in range(0, len(centers), per_call)])
         b *= weights[..., None]
-        # columns (phi or -phi, pole, k); the nodes at 0 and pi have no mirror
-        folded = np.zeros((half, 2, len(centers), size), dtype=complex)
-        folded[:, 0] = b[:, :half].swapaxes(0, 1)
-        np.conjugate(b[:, :half - 1:-1].swapaxes(0, 1), out=folded[1:half - 1, 1])
-        sums = (table @ folded.reshape(half, -1)).reshape(len(d), 2, len(centers), size)
-        np.conjugate(sums[:, 1], out=sums[:, 1])
-        sums[:, 0] += sums[:, 1]
-        values = np.einsum("pck,pk->cp", sums[:, 0], cosines)
-        del sums  # the pass's largest array
-        moduli = np.abs(folded)
-        sizes = (table_abs @ (moduli[:, 0] + moduli[:, 1]).reshape(half, -1)).reshape(len(d), len(centers), size)
+        b = b.swapaxes(0, 1).reshape(len(offsets), -1)  # columns (pole, k)
+        values = np.einsum("pck,pk->cp", (table @ b).real.reshape(len(d), len(centers), size), cosines)
+        sizes = (table_abs @ np.abs(b)).reshape(len(d), len(centers), size)
         magnitudes = np.einsum("pck,pk->cp", sizes, np.abs(cosines))
         scales = np.exp(np.multiply.outer(centers + _CONTOUR_RADIUS, d) + top)
         values *= scales
@@ -399,7 +397,7 @@ def _residue_series(residue, truncation_K: int, at_zero):
             np.where(np.fmax(left_out, after) < floor, 0.0, after / left_out),
         )
         tail = np.where(left_out == 0, 0.0, np.where(q < 1, 2 * left_out / (1 - q), np.inf))
-    return at_zero + np.real(total), tail + floor
+    return at_zero + total, tail + floor
 
 
 @dataclass(frozen=True)
@@ -423,10 +421,7 @@ def normalization_ratio(n_pairs: int, log_cutoff: float, truncation_K: int = 10)
     when it is not certified to 1e-10: when its error, the geometric bound on
     the residues left out plus the rounding floor, exceeds it.
     """
-    if n_pairs < 1:
-        raise DomainError("n_pairs must be >= 1")
-    if log_cutoff >= 2 * n_pairs * _LOG2:
-        raise DomainError("cutoff at or above the attainable maximum: ensemble is empty")
+    _check_ensemble(n_pairs, log_cutoff)
     if truncation_K < 1:
         raise DomainError("truncation_K must be >= 1")
 
@@ -435,12 +430,12 @@ def normalization_ratio(n_pairs: int, log_cutoff: float, truncation_K: int = 10)
     def residue(centers):
         # the trapezoid rule on the circles, spectrally accurate; its rounding
         # is that of the summands and of the exponentials they share
-        z = _contour_nodes(centers)
+        z, weights = _contour_nodes(centers)
         terms = moments_so2n(n_pairs, z, analytic_continuation=True) * np.exp(-z * log_cutoff) / z
         terms *= z - centers[:, None]
-        values = np.mean(terms, axis=-1)
+        values = terms.real @ weights
         shared = _exponent_size(n_pairs, np.abs(centers) + _CONTOUR_RADIUS, d)
-        return values, np.mean(np.abs(terms), axis=-1) + shared * np.abs(values)
+        return values, np.abs(terms) @ weights + shared * np.abs(values)
 
     result = NormalizationResult(*map(float, _residue_series(residue, truncation_K, 1.0)))
     if not 0.0 < result.value <= 1.0:
@@ -544,7 +539,7 @@ class DensityGrid:
 
 
 def density_grid(n_pairs: int, log_cutoff: float, thetas, truncation_K: int = 10) -> DensityGrid:
-    """Excised one-level density R_1 on an ascending grid of angles.
+    """Excised one-level density R_1 on an ascending grid of angles in [0, pi].
 
     Off the gap it sums R_1 of SO(2N), the residue at r = 0, and the
     contour residues at -1/2, -3/2, ..., -(2K+1)/2, and divides by
@@ -559,6 +554,9 @@ def density_grid(n_pairs: int, log_cutoff: float, thetas, truncation_K: int = 10
     if truncation_K < 1:
         raise DomainError("truncation_K must be >= 1")
     thetas = np.atleast_1d(np.asarray(thetas, dtype=float))
+    outside = ~((thetas >= 0) & (thetas <= np.pi))
+    if np.any(outside):
+        raise DomainError(f"theta={float(thetas[np.argmax(outside)])!r} is not a finite angle in [0, pi]")
     ratio = normalization_ratio(n_pairs, log_cutoff)
     norm = ratio.value
     values = np.zeros_like(thetas)

@@ -182,6 +182,20 @@ class TestThetaInf:
         with pytest.raises(DomainError):
             theta_inf(1, np.log(4.0))
 
+    @pytest.mark.parametrize("call", [theta_inf, normalization_ratio], ids=["theta_inf", "normalization_ratio"])
+    @pytest.mark.parametrize(
+        "n, log_cutoff, message",
+        [
+            (2, np.nan, "the log cutoff must be a number above -inf, not nan"),  # theta_inf gave nan
+            (2, -np.inf, "the log cutoff must be a number above -inf, not -inf"),  # the ratio gave 1.0, tail nan
+            (0, -1.0, "n_pairs must be >= 1"),  # theta_inf gave 1.30
+            (2, 4 * np.log(2.0), "ensemble is empty"),
+        ],
+    )
+    def test_cutoff_outside_the_ensemble_raises(self, call, n, log_cutoff, message):
+        with pytest.raises(DomainError, match=re.escape(message)):
+            call(n, log_cutoff)
+
     @pytest.mark.parametrize("n_pairs", [12, 24, 40, 100])
     def test_edge_and_margin_match_mpmath(self, n_pairs):
         # at the paper's cutoff arccos(1 - 2^-(2N-1) e^X) is off by 3e-8 at N = 12 and reads 0 from N = 24
@@ -268,6 +282,39 @@ class TestNormalizationRatio:
         longer = normalization_ratio(3, 0.75, truncation_K=12)
         assert ratio.tail_estimate <= 1e-13
         assert abs(ratio.value - longer.value) <= ratio.tail_estimate
+
+    @pytest.mark.parametrize("n", [1, 2, 12, 24])
+    @pytest.mark.parametrize("log_cutoff", [X_TENTH, np.log(0.001466), np.log(0.005424)])
+    def test_half_circle_residues_match_the_full_circle(self, monkeypatch, n, log_cutoff):
+        # each residue is summed on phi in [0, pi] only; against the mean over all
+        # 128 nodes it may differ by the rounding of its terms, each the
+        # exponential of an exponent of size `_exponent_size` (the returned
+        # size, which scales that by |residue|, is exceeded up to 19 times at N = 24)
+        residues = []
+        original = analytic._residue_series
+
+        def spy(residue, *args):
+            residues.append(residue)
+            return original(residue, *args)
+
+        monkeypatch.setattr(analytic, "_residue_series", spy)
+        try:
+            normalization_ratio(n, log_cutoff)
+        except DomainError:  # at N = 24 the series does not converge here; each residue still stands
+            pass
+        centers = -(2 * np.arange(13) + 1) / 2.0
+        values, _ = residues[0](centers)
+        z = centers[:, None] + 0.1 * np.exp(2j * np.pi * np.arange(128) / 128)
+        terms = moments_so2n(n, z, analytic_continuation=True) * np.exp(-z * log_cutoff) / z * (z - centers[:, None])
+        size = analytic._exponent_size(n, np.abs(centers) + 0.1, gap_margin(n, log_cutoff, np.pi))
+        full = np.mean(terms, axis=1)
+        assert np.all(np.abs(values - full) <= np.finfo(float).eps * size * np.mean(np.abs(terms), axis=1))
+
+    def test_contour_nodes_span_the_upper_half_circle(self):
+        z, weights = analytic._contour_nodes(np.array([-0.5, -1.5]))
+        assert z.shape == (2, 65) and np.all(z.imag >= 0)
+        np.testing.assert_allclose(z[:, [0, -1]], [[-0.4, -0.6], [-1.4, -1.6]], rtol=0, atol=1e-15)
+        assert np.sum(weights) == 1.0
 
     @given(st.integers(1, 12), st.floats(0.01, 45.0), st.floats(0.01, 45.0))
     @settings(max_examples=60, deadline=None)
@@ -512,6 +559,16 @@ class TestExcisedDensity:
         dg = density_grid(2, X_TENTH, [theta_inf(2, X_TENTH) + 0.01])
         assert dg.line_route[0] and dg.values[0] == 0.0
 
+    @pytest.mark.parametrize("theta", [np.nan, np.inf, -0.1, 4.0])
+    def test_angle_outside_zero_pi_raises(self, monkeypatch, theta):
+        # NaN once read 0, 4.0 read 0.595 and inf raised a RuntimeWarning
+        def fail(*args, **kwargs):
+            raise AssertionError("summed the ratio before checking the angles")
+
+        monkeypatch.setattr(analytic, "normalization_ratio", fail)
+        with pytest.raises(DomainError, match=re.escape(f"theta={theta!r}")):
+            density_grid(2, X_TENTH, [1.0, theta, 2.0, np.nan])
+
     @pytest.mark.parametrize("truncation_K", [0, -3])
     def test_truncation_below_one_raises(self, truncation_K):
         # the highest "pole" summed was then r = +1.5, where there is none
@@ -557,7 +614,7 @@ class TestFactoredResidues:
     def test_cosine_coefficients_reproduce_wronskian(self, n, center):
         rng = np.random.default_rng(14)
         thetas = np.pi - rng.uniform(0.0, np.pi, 64)  # in (0, pi]
-        z = analytic._contour_nodes(center)
+        z, _ = analytic._contour_nodes(center)
         coefficients = analytic._wronskian_cosine_coefficients(n, z)
         series = coefficients @ np.cos(np.multiply.outer(np.arange(2 * n - 1), thetas))
         direct = analytic._wronskian(n, z[:, None], np.cos(thetas))
@@ -587,8 +644,9 @@ class TestFactoredResidues:
     )
     def test_batched_poles_match_one_pole_calls(self, n, log_cutoff):
         centers = -(2 * np.arange(13) + 1) / 2.0
-        if n in (3, 12):  # the batched coefficients span more than one call
-            assert len(centers) > analytic._JACOBI_ENTRIES // (analytic._CONTOUR_NODES * (2 * n - 1))
+        nodes = len(analytic._contour_nodes(0.0)[0])
+        # the batched coefficients span more than one call from N = 12 on; at N <= 3 they take one
+        assert (len(centers) > analytic._JACOBI_ENTRIES // (nodes * (2 * n - 1))) == (n >= 12)
         thetas = np.linspace(0, np.pi, 101)
         thetas = thetas[gap_margin(n, log_cutoff, thetas) > 0]
         residue = analytic._density_residue(n, log_cutoff, thetas)
