@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError
+from .errors import DomainError, check_ensemble
 from .special_functions import (
     JacobiOrder,
     _log,
@@ -182,22 +182,12 @@ def value_cumulative_small_x(n_pairs: int, x) -> float:
     return float(out) if out.ndim == 0 else out
 
 
-def _check_ensemble(n_pairs: int, log_cutoff: float) -> None:
-    """The excised ensemble needs N >= 1 and a finite X below 2N log 2."""
-    if n_pairs < 1:
-        raise DomainError("n_pairs must be >= 1")
-    if not log_cutoff > -np.inf:
-        raise DomainError(f"the log cutoff must be a number above -inf, not {log_cutoff}")
-    if log_cutoff >= 2 * n_pairs * _LOG2:
-        raise DomainError("log_cutoff >= 2N log 2: the excised ensemble is empty")
-
-
 def theta_inf(n_pairs: int, log_cutoff: float) -> float:
     """Hard-gap edge 2 arcsin(2^-N e^(X/2)), where 2^(2N) sin^2(theta / 2) = e^X;
     no eigenphase of the excised ensemble lies below it.  This is
     arccos(1 - 2^-(2N-1) e^X) without its cancellation, so it keeps full
     relative precision when the edge nears 0 (large N or deep cutoffs)."""
-    _check_ensemble(n_pairs, log_cutoff)
+    check_ensemble(n_pairs, log_cutoff)
     return float(2.0 * np.arcsin(np.exp(log_cutoff / 2 - n_pairs * _LOG2)))
 
 
@@ -421,7 +411,7 @@ def normalization_ratio(n_pairs: int, log_cutoff: float, truncation_K: int = 10)
     when it is not certified to 1e-10: when its error, the geometric bound on
     the residues left out plus the rounding floor, exceeds it.
     """
-    _check_ensemble(n_pairs, log_cutoff)
+    check_ensemble(n_pairs, log_cutoff)
     if truncation_K < 1:
         raise DomainError("truncation_K must be >= 1")
 

@@ -39,8 +39,8 @@ def _resolve_config_path(value: str) -> str:
 
 
 def _resolve_log_cutoff(args) -> float:
-    """--cutoff-log wins over --cutoff when both are given.  NaN and -inf are
-    domain errors; +inf is left to the callers, which report an empty ensemble."""
+    """--cutoff-log wins over --cutoff when both are given.  A NaN, -inf or
+    +inf cutoff is left to the callers, whose `check_ensemble` rejects it."""
     if getattr(args, "cutoff_log", None) is not None:
         log_cutoff = float(args.cutoff_log)
     elif getattr(args, "cutoff", None) is not None:
@@ -49,8 +49,6 @@ def _resolve_log_cutoff(args) -> float:
         log_cutoff = float(np.log(args.cutoff))
     else:
         raise DomainError("one of --cutoff or --cutoff-log is required")
-    if not log_cutoff > -np.inf:
-        raise DomainError(f"the log cutoff must be a number above -inf, not {log_cutoff}")
     return log_cutoff
 
 

@@ -13,11 +13,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError
+from .errors import DomainError, check_ensemble
 from .haar import (
     beta_log_char_poly_batch,
     jacobi_eigenphases_batch,
-    max_log_char_poly,
     sample_beta_batch,
 )
 # the benchmark's traced runs wrap these three names here (ROADMAP item 6)
@@ -37,9 +36,13 @@ __all__ = [
 ]
 
 _ACCEPTANCE_PROBE = 100_000
-# At this size a batch's temporaries stay in cache and are reused from the heap;
-# at 50 000 rows the N <= 2 draw ran about 3x slower, and its peak memory
-# varied by up to 8 MiB with the seed as the heap fragmented.
+# Rows of an N <= 2 batch, whose row is 2N - 1 <= 3 Beta variables.  At this
+# size a batch's temporaries stay in cache and are reused from the heap; at
+# 50 000 rows the N <= 2 draw ran about 3x slower, and its peak memory varied by
+# up to 8 MiB with the seed as the heap fragmented.  From N = 3 on a batch holds
+# _BATCH_SIZE * 3 Beta variables, so its rows shrink as 1 / (2N - 1): there the
+# largest temporary is the dense N x N Jacobi stack that `eigvalsh` solves,
+# which at 8192 rows would grow as N^2: 9.4 MB at N = 12 and 105 MB at N = 40.
 _BATCH_SIZE = 8192
 _MIN_ACCEPTANCE = 1e-6
 
@@ -52,12 +55,7 @@ class ExcisionSpec:
     log_cutoff: float
 
     def __post_init__(self):
-        if self.n_pairs < 1:
-            raise DomainError("n_pairs must be >= 1")
-        if np.isnan(self.log_cutoff):
-            raise DomainError("log_cutoff must be a number, not nan")
-        if self.log_cutoff >= max_log_char_poly(self.n_pairs):
-            raise DomainError("log_cutoff >= 2N log 2: the excised ensemble is empty")
+        check_ensemble(self.n_pairs, self.log_cutoff)
 
 
 @dataclass(frozen=True)
@@ -138,12 +136,13 @@ def _as_phase_matrix(stream) -> np.ndarray:
 def _sample_excised_single(spec: ExcisionSpec, out: np.ndarray, rng) -> int:
     """Fill the rows of `out` with accepted spectra; returns the draws counted."""
     count = len(out)
+    max_batch = _BATCH_SIZE * 3 // max(2 * spec.n_pairs - 1, 3)
     n_accepted = 0
     total = 0
     while n_accepted < count:
         need = count - n_accepted
         rate = max(n_accepted / total, _MIN_ACCEPTANCE) if total else 1.0
-        batch = int(min(_BATCH_SIZE, max(np.ceil(1.1 * need / rate), 256)))
+        batch = int(min(max_batch, max(np.ceil(1.1 * need / rate), 256)))
         betas = sample_beta_batch(spec.n_pairs, batch, rng)
         hits = np.nonzero(beta_log_char_poly_batch(betas) >= spec.log_cutoff)[0][:need]
         out[n_accepted : n_accepted + len(hits)] = jacobi_eigenphases_batch(betas[hits])
@@ -162,10 +161,13 @@ def sample_excised(spec: ExcisionSpec, count: int, seed, workers: int = 1):
     """Exactly `count` accepted eigenphase spectra of the excised ensemble.
 
     Rejection sampling: Haar SO(2N) spectra are drawn from the Killip-Nenciu
-    tridiagonal model in batches of at most 8192, those with
-    log Lambda_A(1, N) < X are discarded before the eigen-solve (closed form
-    at N <= 2, `eigvalsh` above), and a DomainError is raised when the
-    acceptance rate falls below 1e-6.  With
+    tridiagonal model in batches of at most 8192 rows at N <= 2 and of about
+    24 576 / (2N - 1) rows above (1068 at N = 12), so the dense N x N stack
+    of a batch stays near 1.2 MB at N = 12 and 4 MB at N = 40 instead of
+    growing as N^2.  Those with log Lambda_A(1, N) < X are discarded before
+    the eigen-solve (closed form at N <= 2, `eigvalsh` above), and a
+    DomainError is raised when the acceptance rate falls below 1e-6.  The
+    draws do not depend on the batch sizes.  With
     `workers` > 1 the draw is split across independently seeded substreams
     (spawned from `seed`) and run on at most `os.cpu_count()` threads, so
     results are deterministic for fixed (seed, workers) and independent of

@@ -42,7 +42,6 @@ __all__ = [
     "sample_so2n_batch",
     "eigenphases_batch",
     "log_char_poly_batch",
-    "max_log_char_poly",
 ]
 
 
@@ -198,8 +197,3 @@ def log_char_poly_batch(phases: np.ndarray) -> np.ndarray:
     n = phases.shape[-1]
     with np.errstate(divide="ignore"):
         return 2 * n * np.log(2.0) + 2 * np.sum(np.log(np.sin(phases / 2)), axis=-1)
-
-
-def max_log_char_poly(n_pairs: int) -> float:
-    """Upper bound 2N log 2 attained when all eigenvalues sit at -1."""
-    return 2 * n_pairs * np.log(2.0)

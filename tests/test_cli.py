@@ -6,6 +6,7 @@ import pytest
 
 from excised_ensemble import analytic, curve_model, ensemble
 from excised_ensemble.cli import main
+from excised_ensemble.errors import DomainError
 from excised_ensemble.haar import log_char_poly_batch
 
 E11_CFG = str(resources.files("excised_ensemble.data") / "e11.cfg")
@@ -622,3 +623,27 @@ def test_summary_schema(tmp_path, monkeypatch, case):
     summary = json.loads((tmp_path / "summary.json").read_text())
     assert set(summary) == {"version", "seed", "parameters"} | keys
     assert set(summary["parameters"]) == parameters
+
+
+@pytest.mark.parametrize(
+    "n_pairs, log_cutoff, message",
+    [
+        (2, np.nan, "the log cutoff must be a number above -inf, not nan"),
+        (2, -np.inf, "the log cutoff must be a number above -inf, not -inf"),  # ExcisionSpec once sampled it
+        (0, -1.0, "n_pairs must be >= 1"),
+        (2, 4 * np.log(2.0), "log_cutoff >= 2N log 2: the excised ensemble is empty"),
+    ],
+    ids=["nan", "-inf", "n0", "empty"],
+)
+def test_sampler_and_density_share_one_domain_rule(tmp_path, capsys, n_pairs, log_cutoff, message):
+    for call in (ensemble.ExcisionSpec, analytic.theta_inf):
+        with pytest.raises(DomainError) as info:
+            call(n_pairs, log_cutoff)
+        assert str(info.value) == message
+    for command in (["sample", "--count", 10], ["density", "--grid", 8]):
+        out = tmp_path / "out.csv"
+        code = run([*command, "--n", n_pairs, f"--cutoff-log={float(log_cutoff)!r}",
+                    "--out", out, "--summary", tmp_path / "s.json"])
+        assert code == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not out.exists()

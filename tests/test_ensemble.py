@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from scipy.stats import ks_2samp
@@ -16,7 +18,7 @@ from excised_ensemble.ensemble import (
     write_histogram_csv,
 )
 from excised_ensemble.errors import DomainError
-from excised_ensemble.haar import eigenphases_batch, log_char_poly_batch, sample_so2n_batch
+from excised_ensemble.haar import eigenphases_batch, log_char_poly_batch, sample_beta_batch, sample_so2n_batch
 
 X_TENTH = np.log(0.1)
 NO_CUT = -1e6
@@ -101,6 +103,37 @@ class TestSampleExcised:
         assert np.array_equal(a, b)
         assert sa == sb
         assert sa.total_drawn > 257 * workers
+
+    def test_width_sized_batches_match_one_batch(self, monkeypatch):
+        # from N = 3 on a batch's rows shrink as 1 / (2N - 1): 311 at N = 40
+        spec = ExcisionSpec(40, -12.5)
+        batches = []
+
+        def recording_sample_beta_batch(n_pairs, count, rng):
+            batches.append(count)
+            return sample_beta_batch(n_pairs, count, rng)
+
+        monkeypatch.setattr(ensemble_module, "sample_beta_batch", recording_sample_beta_batch)
+        a, sa = sample_excised(spec, 1000, seed=19)
+        assert len(batches) >= 3 and max(batches) == 311
+        batches.clear()
+        monkeypatch.setattr(ensemble_module, "_BATCH_SIZE", 2**20)
+        b, sb = sample_excised(spec, 1000, seed=19)
+        assert len(batches) == 1
+        assert np.array_equal(a, b)
+        assert sa == sb
+
+    @pytest.mark.parametrize("n_pairs, log_cutoff, count", [(12, np.log(0.005424), 20_000), (40, -12.5, 2000)])
+    def test_working_set_does_not_grow_with_n_squared(self, n_pairs, log_cutoff, count):
+        # beyond the output, 8192-row batches peaked at 12.4 MiB (N = 12) and 28.2 MiB
+        # (N = 40), most of it the dense N x N stack; width-sized ones at 1.7 and 4.4 MiB
+        tracemalloc.start()
+        try:
+            spectra, _ = sample_excised(ExcisionSpec(n_pairs, log_cutoff), count, seed=3)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak - spectra.nbytes < 8 * 2**20
 
     def test_phase_rounding_to_zero_is_still_accepted(self):
         # every draw, by any route, is a spectrum whose phase rounds to 0:

@@ -12,7 +12,6 @@ from excised_ensemble.haar import (
     jacobi_eigenphases_batch,
     jacobi_matrix_batch,
     log_char_poly_batch,
-    max_log_char_poly,
     sample_beta_batch,
     sample_so2n_batch,
 )
@@ -242,8 +241,9 @@ class TestLogCharPoly:
         assert log_char_poly_batch(phases_of(mat)[None])[0] == pytest.approx(direct, abs=1e-8)
 
     def test_upper_bound(self):
+        # 2N log 2, attained when all eigenvalues sit at -1
         phases = eigenphases_batch(sample_so2n_batch(3, 2000, np.random.default_rng(5)))
-        assert np.all(log_char_poly_batch(phases) <= max_log_char_poly(3) + 1e-12)
+        assert np.all(log_char_poly_batch(phases) <= 6 * np.log(2.0) + 1e-12)
 
 
 class TestEmpiricalDensity:
