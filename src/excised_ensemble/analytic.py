@@ -459,6 +459,9 @@ def _line_quadrature(n_pairs: int, log_cutoff: float, theta: float, c: float):
     sums cancel far from the real axis, near the vertical line.  By conjugate
     symmetry the value is Im(sum w f r') / pi over s > 0.
 
+    Raises DomainError where a term is not finite: next to the gap edge at
+    large N the nodes reach |r| where the Jacobi forms' products overflow.
+
     Returns (value, error estimate), both still to be divided by the ratio:
     the last panel's magnitude, which bounds the remainder, plus the rounding
     floor, as each term is the exponential of r d and of at most 4(N+1)
@@ -475,7 +478,12 @@ def _line_quadrature(n_pairs: int, log_cutoff: float, theta: float, c: float):
     mid, half = (edges[:-1] + edges[1:]) / 2.0, (edges[1:] - edges[:-1]) / 2.0
     s, wts = (mid + half * _GL_NODES).ravel(), (half * _GL_WEIGHTS).ravel()
     r = c + 1j * s - kappa * s * s
-    terms = wts * (1j - 2.0 * kappa * s) * excised_integrand(n_pairs, log_cutoff, theta, r)
+    with np.errstate(over="ignore", invalid="ignore"):
+        terms = wts * (1j - 2.0 * kappa * s) * excised_integrand(n_pairs, log_cutoff, theta, r)
+    if not np.all(np.isfinite(terms)):
+        raise DomainError(
+            f"density at theta={theta!r} is not finite: the Jacobi forms on the Bromwich parabola overflow a float"
+        )
     size, mag = np.abs(terms), np.abs(r)
     error = size[-len(_GL_NODES):].sum() + _EPS * np.sum(size * _exponent_size(n_pairs, mag, d))
     return float(np.sum(terms).imag / np.pi), float(error / np.pi)
@@ -486,7 +494,8 @@ def r1_excised_line_integral(n_pairs: int, log_cutoff: float, theta: float, c: f
     along the parabola through c: the oracle for `density_grid`'s residue route.
 
     Inside the hard gap the contour closes to the right and the value is 0.
-    Raises DomainError when the quadrature's error estimate exceeds 1e-9.
+    Raises DomainError when the quadrature's error estimate exceeds 1e-9 or a
+    term overflows.
     """
     if c <= 0:
         raise DomainError("contour abscissa c must be positive")
@@ -539,7 +548,8 @@ def density_grid(n_pairs: int, log_cutoff: float, thetas, truncation_K: int = 10
     the value is recomputed on the Bromwich parabola through c = 1/2.  A
     point whose final tail still exceeds 1e-9 keeps its value; `tails` shows
     the miss.  A negative value within its tail of 0 becomes 0; one further
-    below, or NaN, raises DomainError.
+    below, or NaN, raises DomainError, and so does a parabola whose terms
+    overflow (next to the gap edge at large N).
     """
     if truncation_K < 1:
         raise DomainError("truncation_K must be >= 1")

@@ -240,8 +240,9 @@ def _count_points_character_sum(weierstrass, p: int) -> int:
 # exactly one multiple in the Hasse interval (Cremona-Sutherland 2010,
 # extending Mestre), so the baby-step giant-step search always ends.
 _MESTRE_BOUND = 229
-# Rows per kernel call, whose baby-step tables hold rows x (m + 1) residues,
-# m ~ 1.4 p^(1/4)
+# Rows per kernel call.  Its two tables are arrays of m + 1 and 2 top + 1
+# points per row at the call's largest p, m ~ 1.4 p^(1/4) and
+# top ~ 0.7 p^(1/4); each row fills only the entries it needs.
 _BSGS_ROWS = 4096
 # Points tried at each prime still open in every pass after the first
 _RETRY_POINTS = 8
@@ -347,35 +348,56 @@ def _add_affine(R, Q, a, p):
     return X3, Y3, Z3
 
 
-def _chain(first, Q, steps, a, p, inverse_bits):
-    """first + i Q, i = 0..steps - 1, per row, as affine (K, rows) tables
-    (x, y, is_infinity): filled in Jacobian coordinates, one mixed addition
-    of the affine Q per entry, then brought to affine by `_to_affine`."""
-    X, Y, Z = (np.empty((steps, len(p)), dtype=p.dtype) for _ in range(3))
+def _first_rows(need, steps):
+    """For each table entry i < steps, the first row whose need is at least
+    i: entry i is computed from that row on, which covers every row that needs
+    it, and only those where need is nondecreasing along the rows."""
+    return np.searchsorted(np.maximum.accumulate(need), np.arange(steps))
+
+
+def _chain(first, Q, starts, a, p, inverse_bits):
+    """first + i Q per row, i = 0..len(starts) - 1, as affine (K, rows) tables
+    (x, y, is_infinity): entry i is filled from row starts[i] on (`_first_rows`,
+    starts[0] = 0) in Jacobian coordinates, one mixed addition of the affine Q
+    per entry and row, and is O before that row; then the whole table is
+    brought to affine by `_to_affine`."""
+    X, Y, Z = (np.zeros((len(starts), len(p)), dtype=p.dtype) for _ in range(3))
     X[0], Y[0], Z[0] = first
-    for i in range(1, steps):
-        X[i], Y[i], Z[i] = _add_affine((X[i - 1], Y[i - 1], Z[i - 1]), Q, a, p)
+    for i in range(1, len(starts)):
+        tail = slice(starts[i], None)
+        X[i, tail], Y[i, tail], Z[i, tail] = _add_affine(
+            (X[i - 1, tail], Y[i - 1, tail], Z[i - 1, tail]), tuple(c[tail] for c in Q), a[tail], p[tail]
+        )
     return X, Y, _to_affine(X, Y, Z, p, inverse_bits)
 
 
 def _bsgs_traces(p, A, d, x0):
     """Baby-step giant-step in lockstep, one row per (p, x0) with
-    d = x0^3 + A x0 + B != 0 mod p.
+    d = x0^3 + A x0 + B != 0 mod p, p > 229.
 
     Row i works on P = (d x0, d^2) on Y^2 = X^3 + A d^2 X + B d^3, which is
     E at p when d is a square mod p and its quadratic twist, with trace
-    -a(p), otherwise.  Baby steps tabulate x and y of jP, j = 1..m, with
+    -a(p), otherwise.  Baby steps tabulate x and y of jP, j = 1..m + 1, with
     m = isqrt(isqrt(4p)) + 1; giant steps write t = k g + j' with g = 2m + 1
-    and |j'| <= m, so (p + 1 - k g) P = j'P is a match in the table whose y
-    gives the sign of j'.  Every t so found has (p + 1 - t) P = O, with no
-    scalar multiplication to confirm it.  Where P has order above 2m, each
-    such t is found once.  Where it has order at most 2m, every giant step
-    inside the Hasse interval finds one, so the row finds several.
+    and |j'| <= m, so (p + 1 - k g) P = j'P is a match in the table's first m
+    entries whose y gives the sign of j' by its parity.  Every t so found has
+    (p + 1 - t) P = O, with no scalar multiplication to confirm it.  Where P
+    has order above 2m, each such t is found once.  Where it has order at
+    most 2m, every giant step inside the Hasse interval finds one, so the row
+    finds several.
 
     Both tables are filled in Jacobian coordinates by mixed additions of the
-    affine P or -gP, and the start (p + 1 + top g) P of the giant steps by a
-    left-to-right double-and-add; each table, and gP, then takes one Fermat
+    affine P or -gP, each entry only from the first row that needs it.  The
+    rows of `_bsgs_counts` come in ascending p, so the m + 1 baby steps a row
+    needs never fall along them, and each row takes only its own; its
+    2 top + 1 giant steps, top = (isqrt(4p) + m) // g, fall where m steps up,
+    and the rows past such a drop take, and mask, the extra steps.  The
+    start (p + 1 + top g) P of the giant steps is read left to right in 3-bit
+    digits, three doublings and one addition of a tabulated jP, j <= 7 <= m + 1
+    (O at digit 0), per digit.  Each table, and gP, then takes one Fermat
     power per row to return to affine, and the square test on d a fourth.
+    Each giant step is compared with the whole baby table, and only the few
+    rows where it is O or matches read off t.
 
     Returns (a, fixed) per row: a(p) read from t, and whether that t was the
     only |t| <= 2 sqrt(p) with (p + 1 - t) P = O.
@@ -388,29 +410,48 @@ def _bsgs_traces(p, A, d, x0):
     a = A * (d * d % p) % p
     inverse_bits = _bits(p - 2)
     P = (d * x0 % p, d * d % p, np.zeros(len(p), dtype=bool))
-    x, y, inf = _chain(_jacobian(P), P, m.max() + 1, a, p, inverse_bits)  # row j - 1 holds jP
-    baby = (np.arange(len(x))[:, None] < m) & ~inf
+    x, y, inf = _chain(_jacobian(P), P, _first_rows(m, m.max() + 1), a, p, inverse_bits)  # entry j - 1 holds jP
 
     def multiple(j):
-        return tuple(c[j - 1, rows] for c in (x, y, inf))
+        """jP per row from the baby table, O where j = 0."""
+        return x[j - 1, rows], y[j - 1, rows], inf[j - 1, rows] | (j == 0)
 
     gX, gY, gZ = _add_affine(_jacobian(multiple(m)), multiple(m + 1), a, p)  # gP = mP + (m + 1)P
     g_inf = _to_affine(gX[None], gY[None], gZ[None], p, inverse_bits)[0]
     step = (gX, -gY % p, g_inf)
-    R = (np.ones_like(p), np.ones_like(p), np.zeros_like(p))
-    for bit in reversed(_bits(p + 1 + top * g)):  # (p + 1 - k g) P at k = -top
-        R = _double(R, a, p)
-        R = tuple(np.where(bit, s, r) for s, r in zip(_add_affine(R, P, a, p), R))
-    Rx, Ry, R_inf = _chain(R, step, 2 * top.max() + 1, a, p, inverse_bits)
+    n = p + 1 + top * g  # (p + 1 - k g) P at k = -top
+
+    def digit(shift):
+        """The 3-bit digit of n at `shift` as a point; an int64 index also
+        where n holds Python integers."""
+        return multiple((n >> shift & 7).astype(np.int64))
+
+    high = 3 * ((int(n.max()).bit_length() - 1) // 3)
+    R = _jacobian(digit(high))
+    for shift in range(high - 3, -1, -3):
+        for _ in range(3):
+            R = _double(R, a, p)
+        R = _add_affine(R, digit(shift), a, p)
+    # a match R = +-jP has y_R = y_j or p - y_j, which differ in parity as p
+    # is odd (and are equal where y_j = 0), so the sign needs only y_j's
+    # parity; the baby y table is released before the giant table is built
+    y_odd = y % 2 == 1
+    del y
+    starts = _first_rows(2 * top, 2 * top.max() + 1)
+    Rx, Ry, R_inf = _chain(R, step, starts, a, p, inverse_bits)
+    baby = (np.arange(len(x))[:, None] < m) & ~inf
     found = np.zeros(len(p), dtype=np.int64)
     trace = np.zeros(len(p), dtype=np.int64)
-    for i in range(2 * top.max() + 1):
-        match = baby & (x == Rx[i])
-        j = match.argmax(axis=0) + 1
-        t = (i - top) * g + np.where(R_inf[i], 0, np.where(y[j - 1, rows] == Ry[i], j, -j))
-        hit = (R_inf[i] | match.any(axis=0)) & (i <= 2 * top) & (np.abs(t) <= bound)
-        found += hit
-        trace = np.where(hit, t, trace)
+    for i, s in enumerate(starts):
+        match = baby[:, s:] & (x[:, s:] == Rx[i, s:])
+        near = np.flatnonzero(match.any(axis=0) | R_inf[i, s:])  # the few rows where R = O or +-jP
+        r = s + near
+        j = match[:, near].argmax(axis=0) + 1
+        j_signed = np.where(y_odd[j - 1, r] == (Ry[i, r] % 2 == 1), j, -j)
+        t = (i - top[r]) * g[r] + np.where(R_inf[i, r], 0, j_signed)
+        hit = (i <= 2 * top[r]) & (np.abs(t) <= bound[r])
+        found[r] += hit
+        trace[r] = np.where(hit, t, trace[r])
     square = _pow_mod(d, _bits((p - 1) // 2), p) == 1
     return np.where(square, trace, -trace), found == 1
 
@@ -487,8 +528,9 @@ def count_points_fp(weierstrass, p: int) -> int:
     At primes p > 229 of good reduction this is baby-step giant-step on E or
     its quadratic twist, O(p^(1/4)) group operations per prime (Mestre;
     Cohen, A Course in Computational Algebraic Number Theory, 7.4), run as
-    a numpy kernel whose fixed cost per call (3 to 6 ms at p = 3e4) a
-    batch of primes shares: count many primes with `point_counts`.  Below
+    a numpy kernel whose fixed cost per call (3 to 6 ms at p = 3e4, 5 to
+    10 ms at p = 1e6) a batch of primes shares: count many primes with
+    `point_counts`.  Below
     that, and at primes dividing c4^3 - c6^2 (the conductor among them), it
     sums the quadratic character of the cubic, O(p); at the conductor this
     reproduces the multiplicative-reduction coefficient a(M) = +-1.  p = 2

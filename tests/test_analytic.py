@@ -559,6 +559,18 @@ class TestExcisedDensity:
         dg = density_grid(2, X_TENTH, [theta_inf(2, X_TENTH) + 0.01])
         assert dg.line_route[0] and dg.values[0] == 0.0
 
+    @pytest.mark.parametrize("k", [7, 8, 9])
+    def test_overflow_next_to_the_gap_edge_raises(self, k):
+        # at N = 24 the parabola's nodes at theta_inf (1 + 10^-k) reach |r|
+        # where products of the Jacobi forms overflow; that once surfaced as
+        # "density nan ... is below -tail = nan" after a RuntimeWarning
+        theta = theta_inf(24, -12.0) * (1 + 10.0**-k)
+        overflow = r"is not finite: the Jacobi forms .* overflow"
+        with pytest.raises(DomainError, match=overflow):
+            density_grid(24, -12.0, [theta])
+        with pytest.raises(DomainError, match=overflow):
+            r1_excised_line_integral(24, -12.0, theta)
+
     @pytest.mark.parametrize("theta", [np.nan, np.inf, -0.1, 4.0])
     def test_angle_outside_zero_pi_raises(self, monkeypatch, theta):
         # NaN once read 0, 4.0 read 0.595 and inf raised a RuntimeWarning

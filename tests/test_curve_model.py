@@ -1,3 +1,4 @@
+import tracemalloc
 from importlib import resources
 from math import isqrt
 
@@ -196,6 +197,60 @@ class TestPointCounting:
         primes = [757, 3499, 22511]
         assert _counts_at(E11_WEIERSTRASS, primes) == {p: _count_points_character_sum(E11_WEIERSTRASS, p) for p in primes}
         assert len(rows) == 2 and rows[0] == primes
+
+    def test_each_row_adds_only_its_own_table_steps(self, monkeypatch):
+        # every prime of the p_max = 3e4 pass in one kernel call: each row
+        # needs m baby and 2 top giant steps, gP, and one addition per 3-bit
+        # window of p + 1 + top g after the first; the giant steps past each
+        # drop of top add the rest (tables sized for the largest prime of the
+        # call added 169 335)
+        primes = [q for q in _sieve(30_000).tolist() if q > 229]
+        added = []
+        add = curve_model._add_affine
+
+        def spy(R, Q, a, p):
+            added.append(len(p))
+            return add(R, Q, a, p)
+
+        monkeypatch.setattr(curve_model, "_add_affine", spy)
+        p = np.array(primes)
+        one = np.ones_like(p)
+        curve_model._bsgs_traces(p, one, 3 * one, one)  # d = f(1) on y^2 = x^3 + x + 1
+        bound = [isqrt(4 * q) for q in primes]
+        m = [isqrt(b) + 1 for b in bound]
+        top = [(b + k) // (2 * k + 1) for b, k in zip(bound, m)]
+        windows = (max(q + 1 + t * (2 * k + 1) for q, t, k in zip(primes, top, m)).bit_length() + 2) // 3
+        floor = sum(k + 2 * t for k, t in zip(m, top)) + len(primes) * windows
+        assert floor <= sum(added) <= 1.01 * floor
+
+    def test_peak_memory_of_the_3e4_pass(self):
+        # the 3195-row first pass of p_max = 3e4 peaked at 3.95 MiB while the
+        # baby y table stayed alive through the giant table's inversion, and
+        # at 3.5 MiB with only its parity kept
+        p = np.array([q for q in _sieve(30_000).tolist() if q > 229])
+        one = np.ones_like(p)
+        tracemalloc.start()
+        try:
+            curve_model._bsgs_traces(p, one, 3 * one, one)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 3.75 * 2**20
+
+    @pytest.mark.parametrize("curve", BSGS_CURVES.values(), ids=BSGS_CURVES.keys())
+    def test_table_boundary_rows(self, curve):
+        # one call: 233 has the least m, 6; at 277 and 311 a window digit 7
+        # reads the baby table's last entry, (m + 1)P; and top drops from 3
+        # to 2 at 317 -> 331, 4 to 3 at 1021 -> 1031, 5 to 4 at 2477 -> 2503,
+        # where m steps up, so giant steps cover a row past the drop that
+        # needs fewer of them
+        primes = [233, 277, 311, 317, 331, 1021, 1031, 2477, 2503]
+        m = [isqrt(isqrt(4 * q)) + 1 for q in primes]
+        top = [(isqrt(4 * q) + k) // (2 * k + 1) for q, k in zip(primes, m)]
+        n = [q + 1 + t * (2 * k + 1) for q, t, k in zip(primes, top, m)]
+        assert m[:4] == [6] * 4 and all("7" in oct(v)[2:] for v in n[1:3])
+        assert [top[i] - top[i + 1] for i in (3, 5, 7)] == [1, 1, 1]
+        assert _counts_at(curve, primes) == {q: _count_points_character_sum(curve, q) for q in primes}
 
     def test_group_law_in_every_case(self):
         # y^2 = x^3 + x + 1 over F_23, one case per row; O is the point at
