@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, check_ensemble
+from .errors import DomainError, _check_pairs, check_ensemble
 from .special_functions import (
     JacobiOrder,
     _log,
@@ -74,8 +74,7 @@ def r1_so2n_unscaled(n_pairs: int, theta):
     The Dirichlet-kernel ratio is summed as 1 + 2 sum_{k=1}^{N-1} cos 2kt,
     which it equals identically, so t = 0 and t = pi need no special case.
     """
-    if n_pairs < 1:
-        raise DomainError("n_pairs must be >= 1")
+    _check_pairs(n_pairs)
     th = np.asarray(theta, dtype=float)
     ratio = 1.0 + 2.0 * np.sum(np.cos(2.0 * np.multiply.outer(th, np.arange(1, n_pairs))), axis=-1)
     out = (2 * n_pairs - 1) / (2 * np.pi) + ratio / (2 * np.pi)
@@ -131,53 +130,53 @@ def c_so2n(n_pairs: int) -> float:
     return float(value)
 
 
-def moments_so2n(n_pairs: int, s, analytic_continuation: bool = False):
-    """Moment generating function M_O(N, s) of the characteristic polynomial at 1.
+def _log_moment_constant(n_pairs: int) -> float:
+    """log prod_{j<N} Gamma(N+j) / Gamma(1/2+j), the r-free part of log M_O(N, r)."""
+    return sum(math.lgamma(n_pairs + j) - math.lgamma(0.5 + j) for j in range(n_pairs))
 
-    The defining Haar integral converges only for Re(s) > -1/2; pass
-    analytic_continuation=True to evaluate the meromorphic product formula
-    elsewhere (used for residue extraction around s = -1/2).  An array `s`
-    gives a complex array of the same shape.  A real `s` whose moment
-    overflows a float raises DomainError, unless continuing analytically.
-    """
-    if n_pairs < 1:
-        raise DomainError("n_pairs must be >= 1")
-    if not analytic_continuation and not np.all(np.isfinite(s) & (np.real(s) > -0.5)):
+
+def _log_moment_gammas(n_pairs: int, r):
+    """log M_O(N, r) - 2N r log 2, by the Gamma product that continues the
+    moment to every complex r off the poles -1/2, -3/2, ...."""
+    upper, lower = _log_gamma_run(np.stack([r + 0.5, r + n_pairs]), n_pairs)
+    return _log_moment_constant(n_pairs) + upper - lower
+
+
+def moments_so2n(n_pairs: int, s):
+    """Moment generating function M_O(N, s) = E[Lambda^s] of the characteristic
+    polynomial at 1, for a finite s with Re(s) > -1/2, where its Haar integral
+    converges.  An array `s` gives a complex array of the same shape.  A moment
+    that overflows a float raises DomainError."""
+    _check_pairs(n_pairs)
+    if not np.all(np.isfinite(s) & (np.real(s) > -0.5)):
         raise DomainError("moments_so2n requires a finite s with Re(s) > -1/2")
     with np.errstate(over="ignore", invalid="ignore"):
-        upper, lower = _log_gamma_run(np.stack([s + 0.5, s + n_pairs]), n_pairs)
-        value = np.exp(2 * n_pairs * s * _LOG2 + _log_gamma_run(float(n_pairs), n_pairs) + upper
-                       - _log_gamma_run(0.5, n_pairs) - lower)
+        value = np.exp(2 * n_pairs * s * _LOG2 + _log_moment_gammas(n_pairs, s))
+    if not np.all(np.isfinite(value)):
+        raise DomainError(f"moments_so2n({n_pairs}, {s}) overflows a float")
     if np.ndim(value):
         return value
-    if not _is_real(s):
-        return complex(value)
-    if not (analytic_continuation or np.isfinite(value)):
-        raise DomainError(f"moments_so2n({n_pairs}, {s}) overflows a float")
-    return float(np.real(value))
+    return float(np.real(value)) if _is_real(s) else complex(value)
 
 
 def h_exact(n_pairs: int) -> float:
     """Residue of M_O(N, s) at s = -1/2 (explicit Gamma product)."""
-    total = np.real(
-        _log_gamma_run(float(n_pairs), n_pairs)
-        + _log_gamma_run(1.0, n_pairs - 1)
-        - _log_gamma_run(0.5, n_pairs)
-        - _log_gamma_run(n_pairs - 0.5, n_pairs)
-    )
-    return float(np.exp(total - n_pairs * _LOG2))
+    _check_pairs(n_pairs)
+    total = _log_moment_constant(n_pairs) + _log_gamma_run(1.0, n_pairs - 1) - _log_gamma_run(n_pairs - 0.5, n_pairs)
+    return float(np.exp(np.real(total) - n_pairs * _LOG2))
 
 
 def h_asymptotic(n_pairs: int) -> float:
     """Large-N form 2^(-7/8) G(1/2) pi^(-1/4) N^(3/8) of h(N)."""
+    _check_pairs(n_pairs)
     return float(2.0 ** (-7.0 / 8.0) * np.exp(log_barnes_g(0.5)) * np.pi ** (-0.25) * n_pairs ** (3.0 / 8.0))
 
 
 def value_cumulative_small_x(n_pairs: int, x) -> float:
     """Small-x cumulative 2 sqrt(x) h(N) = Prob(0 <= Lambda <= x)."""
     x = np.asarray(x, dtype=float)
-    if np.any(x < 0):
-        raise DomainError("cumulative requires x >= 0")
+    if not np.all(x >= 0):
+        raise DomainError("cumulative requires a number x >= 0")
     out = 2.0 * np.sqrt(x) * h_exact(n_pairs)
     return float(out) if out.ndim == 0 else out
 
@@ -225,11 +224,10 @@ def _log_integrand_gammas(n_pairs: int, r):
     `_kernel_log_gammas`.  The kernel's Gamma(N+r-1/2) cancels the last factor
     of the moment's run Gamma(r+1/2) ... Gamma(r+N-1/2), and its Gamma(N+r) the
     first of the run Gamma(r+N) ... Gamma(r+2N-1), leaving two runs of N-1
-    factors, whose two log-Gammas are taken in one call."""
+    factors, whose two log-Gammas are taken in one call: half the log-Gammas
+    of r that `_log_moment_gammas` + `_kernel_log_gammas` would take."""
     r = np.asarray(r, dtype=complex)
-    constant = math.lgamma(n_pairs + 1.0) - math.lgamma(n_pairs - 0.5) + sum(
-        math.lgamma(n_pairs + j) - math.lgamma(0.5 + j) for j in range(n_pairs)
-    )
+    constant = math.lgamma(n_pairs + 1.0) - math.lgamma(n_pairs - 0.5) + _log_moment_constant(n_pairs)
     upper, lower = _log_gamma_run(np.stack([r + 0.5, r + (n_pairs + 1.0)]), n_pairs - 1)
     return constant + upper - lower
 
@@ -258,11 +256,11 @@ def excised_integrand(n_pairs: int, log_cutoff: float, theta, r):
     """Integrand of the Bromwich representation of the excised one-level
     density times the normalization ratio P(log Lambda >= X).
 
-    It equals moments_so2n(N, r) f_N^(r-1/2,-1/2)(theta, theta) e^(-rX) / r;
-    its residue at r = 0 is the SO(2N) one-level density.  Its powers
-    2^(2Nr) 2^(-r) (1 - cos theta)^r e^(-rX) are e^(r d), d = `gap_margin`, so it
-    is built in place as exp(r d + log-Gamma terms) times 2 W / (r (2N+r-1)),
-    W the Wronskian: one exponential, as two can give inf * 0.
+    It equals M_O(N, r) f_N^(r-1/2,-1/2)(theta, theta) e^(-rX) / r, M_O continued
+    by its Gamma product; its residue at r = 0 is the SO(2N) one-level density.
+    Its powers 2^(2Nr) 2^(-r) (1 - cos theta)^r e^(-rX) are e^(r d), d = `gap_margin`,
+    so it is built in place as exp(r d + `_log_integrand_gammas`) times
+    2 W / (r (2N+r-1)), W the Wronskian: one exponential, as two can give inf * 0.
     """
     r = np.asarray(r, dtype=complex)
     if np.any(r == 0):
@@ -404,7 +402,8 @@ class NormalizationResult:
 
 def normalization_ratio(n_pairs: int, log_cutoff: float, truncation_K: int = 10) -> NormalizationResult:
     """Haar probability that log Lambda >= X, as the residue series
-    1 (the pole at r = 0) + the contour residues at -1/2, ..., -(2K+1)/2.
+    1 (the pole at r = 0) + the contour residues at -1/2, ..., -(2K+1)/2 of
+    M_O(N, r) e^(-rX) / r = exp(r d + `_log_moment_gammas`) / r, d = `gap_margin` at pi.
 
     Raises DomainError when the truncated series does not lie in (0, 1]: for
     large N it is summed outside the range where it converges.  Also raises
@@ -421,8 +420,8 @@ def normalization_ratio(n_pairs: int, log_cutoff: float, truncation_K: int = 10)
         # the trapezoid rule on the circles, spectrally accurate; its rounding
         # is that of the summands and of the exponentials they share
         z, weights = _contour_nodes(centers)
-        terms = moments_so2n(n_pairs, z, analytic_continuation=True) * np.exp(-z * log_cutoff) / z
-        terms *= z - centers[:, None]
+        with np.errstate(over="ignore", invalid="ignore"):  # where the series diverges; the (0, 1] check raises
+            terms = np.exp(z * d + _log_moment_gammas(n_pairs, z)) / z * (z - centers[:, None])
         values = terms.real @ weights
         shared = _exponent_size(n_pairs, np.abs(centers) + _CONTOUR_RADIUS, d)
         return values, np.abs(terms) @ weights + shared * np.abs(values)

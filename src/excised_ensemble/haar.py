@@ -32,12 +32,11 @@ import functools
 import numpy as np
 import numpy.random  # noqa: F401  numpy loads it lazily; importing it here keeps that out of the first draw
 
-from .errors import DomainError
+from .errors import _check_pairs
 
 __all__ = [
     "sample_beta_batch",
     "beta_log_char_poly_batch",
-    "jacobi_matrix_batch",
     "jacobi_eigenphases_batch",
     "sample_so2n_batch",
     "eigenphases_batch",
@@ -57,8 +56,7 @@ def sample_beta_batch(n_pairs: int, count: int, rng: np.random.Generator) -> np.
     on how they are split into batches.  At N <= 2 every y lies in (0, 1] and
     keeps its relative accuracy near 0, where log y enters the cutoff test.
     """
-    if n_pairs < 1:
-        raise DomainError("n_pairs must be >= 1")
+    _check_pairs(n_pairs)
     if n_pairs > 2:
         shape = (2 * n_pairs - 1 - np.arange(2 * n_pairs - 1)) / 2
         return rng.beta(shape, shape, size=(count, 2 * n_pairs - 1))
@@ -110,7 +108,7 @@ def _jacobi_bands(betas: np.ndarray) -> tuple:
     return diagonal, off
 
 
-def jacobi_matrix_batch(betas: np.ndarray) -> np.ndarray:
+def _jacobi_matrix_batch(betas: np.ndarray) -> np.ndarray:
     """The N x N Jacobi matrices J of the Killip-Nenciu variables, shape (count, N, N)."""
     diagonal, off = _jacobi_bands(betas)
     count, n = diagonal.shape
@@ -131,7 +129,7 @@ def jacobi_eigenphases_batch(betas: np.ndarray) -> np.ndarray:
     """
     n = (betas.shape[-1] + 1) // 2
     if n > 2:
-        cosines = np.linalg.eigvalsh(jacobi_matrix_batch(betas))[..., ::-1] / 2
+        cosines = np.linalg.eigvalsh(_jacobi_matrix_batch(betas))[..., ::-1] / 2
     else:
         cosines = _closed_form_cosines(betas)
     return np.arccos(np.clip(cosines, -1.0, 1.0, out=cosines), out=cosines)
@@ -166,8 +164,7 @@ def _closed_form_cosines(betas: np.ndarray) -> np.ndarray:
 
 def sample_so2n_batch(n_pairs: int, count: int, rng: np.random.Generator) -> np.ndarray:
     """Stack of `count` Haar SO(2N) matrices, shape (count, 2N, 2N)."""
-    if n_pairs < 1:
-        raise DomainError("n_pairs must be >= 1")
+    _check_pairs(n_pairs)
     gauss = rng.standard_normal((count, 2 * n_pairs, 2 * n_pairs))
     q, r = np.linalg.qr(gauss)
     signs = np.sign(np.diagonal(r, axis1=1, axis2=2))

@@ -140,9 +140,11 @@ class TestMoments:
         with pytest.raises(DomainError):
             moments_so2n(2, -0.6)
 
-    def test_continuation_flag(self):
-        val = moments_so2n(2, -0.6 + 0.05j, analytic_continuation=True)
-        assert np.isfinite(val)
+    def test_array_matches_scalar_calls(self):
+        s = np.array([[0.0, 1.0, -0.3], [0.3 + 2.1j, 4.2 - 7.5j, 2.5]])
+        values = moments_so2n(12, s)
+        assert values.shape == s.shape
+        np.testing.assert_array_equal(values, np.vectorize(lambda t: complex(moments_so2n(12, t)))(s))
 
 
 class TestSmallValueDensity:
@@ -154,7 +156,7 @@ class TestSmallValueDensity:
         # extract Res_{s=-1/2} M_O(N, s) by trapezoid quadrature on a small circle
         nodes = 256
         z = -0.5 + 0.1 * np.exp(2j * np.pi * np.arange(nodes) / nodes)
-        vals = np.array([moments_so2n(n, s, analytic_continuation=True) for s in z])
+        vals = np.exp(2 * n * z * np.log(2.0) + analytic._log_moment_gammas(n, z))
         residue = np.mean(vals * (z + 0.5)).real
         assert h_exact(n) == pytest.approx(residue, abs=1e-8)
 
@@ -164,6 +166,10 @@ class TestSmallValueDensity:
 
     def test_cumulative_vanishes_at_zero(self):
         assert value_cumulative_small_x(2, 0.0) == 0.0
+
+    def test_cumulative_rejects_nan(self):
+        with pytest.raises(DomainError, match="a number x >= 0"):
+            value_cumulative_small_x(2, np.nan)
 
 
 class TestThetaInf:
@@ -305,8 +311,9 @@ class TestNormalizationRatio:
         centers = -(2 * np.arange(13) + 1) / 2.0
         values, _ = residues[0](centers)
         z = centers[:, None] + 0.1 * np.exp(2j * np.pi * np.arange(128) / 128)
-        terms = moments_so2n(n, z, analytic_continuation=True) * np.exp(-z * log_cutoff) / z * (z - centers[:, None])
-        size = analytic._exponent_size(n, np.abs(centers) + 0.1, gap_margin(n, log_cutoff, np.pi))
+        d = gap_margin(n, log_cutoff, np.pi)
+        terms = np.exp(z * d + analytic._log_moment_gammas(n, z)) / z * (z - centers[:, None])
+        size = analytic._exponent_size(n, np.abs(centers) + 0.1, d)
         full = np.mean(terms, axis=1)
         assert np.all(np.abs(values - full) <= np.finfo(float).eps * size * np.mean(np.abs(terms), axis=1))
 
@@ -593,8 +600,13 @@ class TestExcisedDensity:
             lambda n: density_grid(n, X_TENTH, [1.0]),
             lambda n: normalization_ratio(n, X_TENTH),
             lambda n: moments_so2n(n, 1.0),
+            lambda n: r1_so2n_unscaled(n, 1.0),
+            h_exact,
+            h_asymptotic,
+            lambda n: value_cumulative_small_x(n, 0.25),
         ],
-        ids=["density_grid", "normalization_ratio", "moments_so2n"],
+        ids=["density_grid", "normalization_ratio", "moments_so2n", "r1_so2n_unscaled", "h_exact", "h_asymptotic",
+             "value_cumulative_small_x"],
     )
     @pytest.mark.parametrize("n", [0, -2])
     def test_n_pairs_below_one_raises(self, call, n):

@@ -1,7 +1,9 @@
 """The Gamma products of `analytic` against 40-digit mpmath references."""
 
+import numpy as np
 import pytest
 
+from excised_ensemble import analytic
 from excised_ensemble.analytic import c_so2n, h_exact, moments_so2n
 
 mp = pytest.importorskip("mpmath")
@@ -47,10 +49,16 @@ def test_moments(n, s):
     assert _rel(moments_so2n(n, s), _moment(n, s)) < 1e-11
 
 
-@pytest.mark.parametrize("n", SIZES)
-def test_moments_continuation(n):
-    s = -3.5 + 0.1j
-    assert _rel(moments_so2n(n, s, analytic_continuation=True), _moment(n, s)) < 1e-11
+@pytest.mark.parametrize("n", [2, 12, 35])
+@pytest.mark.parametrize("center", [-0.5, -2.5, -12.5])
+def test_moments_continuation(n, center):
+    # the normalization ratio's contour nodes around the poles it sums; the
+    # moment is compared in mpmath, whose exponent range holds it at N = 35
+    z, _ = analytic._contour_nodes(np.array([center]))
+    computed = analytic._log_moment_gammas(n, z[0])
+    for r, log_gammas in zip(z[0], computed):
+        reference = _moment(n, r) / mp.mpf(2) ** (2 * n * mp.mpmathify(r))
+        assert _rel(mp.exp(mp.mpmathify(log_gammas)), reference) < 1e-11, r
 
 
 @pytest.mark.parametrize("n", SIZES)

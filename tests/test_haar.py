@@ -7,10 +7,10 @@ from scipy.stats import chi2, ks_2samp, kstest
 from excised_ensemble.analytic import moments_so2n, r1_so2n_unscaled
 from excised_ensemble.errors import DomainError
 from excised_ensemble.haar import (
+    _jacobi_matrix_batch,
     beta_log_char_poly_batch,
     eigenphases_batch,
     jacobi_eigenphases_batch,
-    jacobi_matrix_batch,
     log_char_poly_batch,
     sample_beta_batch,
     sample_so2n_batch,
@@ -120,7 +120,7 @@ class TestTridiagonalModel:
     @pytest.mark.parametrize("n_pairs", [1, 2, 3, 12])
     def test_log_lambda_is_log_det_of_two_minus_j(self, n_pairs):
         betas = sample_beta_batch(n_pairs, 20_000, np.random.default_rng(80 + n_pairs))
-        shifted = 2 * np.eye(n_pairs) - jacobi_matrix_batch(betas)
+        shifted = 2 * np.eye(n_pairs) - _jacobi_matrix_batch(betas)
         # det(2 - J) is good to about eps / smallest eigenvalue; compare where that is >= 1e-2
         well_posed = np.linalg.eigvalsh(shifted)[:, 0] >= 1e-2
         assert well_posed.mean() > 0.2
@@ -129,7 +129,7 @@ class TestTridiagonalModel:
         assert np.max(np.abs(log_det - beta_log_char_poly_batch(betas[well_posed]))) < 1e-12
 
     def test_jacobi_matrix_is_symmetric_tridiagonal(self):
-        jacobi = jacobi_matrix_batch(sample_beta_batch(5, 100, np.random.default_rng(3)))
+        jacobi = _jacobi_matrix_batch(sample_beta_batch(5, 100, np.random.default_rng(3)))
         assert np.array_equal(jacobi, np.swapaxes(jacobi, 1, 2))
         assert np.all(np.triu(jacobi, 2) == 0)
         assert np.all(np.diagonal(jacobi, 1, axis1=1, axis2=2) > 0)
@@ -168,7 +168,7 @@ class TestTridiagonalModel:
     def test_closed_form_matches_eigvalsh(self, n_pairs):
         betas = sample_beta_batch(n_pairs, 100_000, np.random.default_rng(150 + n_pairs))
         phases = jacobi_eigenphases_batch(betas)
-        cosines = np.linalg.eigvalsh(jacobi_matrix_batch(betas))[..., ::-1] / 2
+        cosines = np.linalg.eigvalsh(_jacobi_matrix_batch(betas))[..., ::-1] / 2
         assert np.max(np.abs(np.cos(phases) - cosines)) <= 4 * np.finfo(float).eps
         assert np.all(np.diff(phases, axis=1) >= 0)
 
@@ -187,7 +187,7 @@ class TestTridiagonalModel:
     def test_closed_form_at_the_ends_of_the_beta_range(self, betas, expected):
         phases = jacobi_eigenphases_batch(np.array(betas))
         assert np.array_equal(phases, np.array(expected))
-        reference = np.linalg.eigvalsh(jacobi_matrix_batch(np.array(betas)))[..., ::-1] / 2
+        reference = np.linalg.eigvalsh(_jacobi_matrix_batch(np.array(betas)))[..., ::-1] / 2
         assert np.allclose(np.cos(phases), reference, rtol=0, atol=4 * np.finfo(float).eps)
 
 
