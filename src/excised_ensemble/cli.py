@@ -38,18 +38,19 @@ def _resolve_config_path(value: str) -> str:
     return value
 
 
-def _resolve_log_cutoff(args) -> float:
-    """--cutoff-log wins over --cutoff when both are given.  A NaN, -inf or
-    +inf cutoff is left to the callers, whose `check_ensemble` rejects it."""
-    if getattr(args, "cutoff_log", None) is not None:
-        log_cutoff = float(args.cutoff_log)
-    elif getattr(args, "cutoff", None) is not None:
+def _resolve_log_cutoff(args, default=None) -> float:
+    """--cutoff-log wins over --cutoff when both are given; with neither, the
+    `default` if one is given.  A NaN, -inf or +inf cutoff is left to the
+    callers, whose `check_ensemble` rejects it."""
+    if args.cutoff_log is not None:
+        return float(args.cutoff_log)
+    if args.cutoff is not None:
         if args.cutoff <= 0:
             raise DomainError("--cutoff must be positive (use --cutoff-log for the log scale)")
-        log_cutoff = float(np.log(args.cutoff))
-    else:
+        return float(np.log(args.cutoff))
+    if default is None:
         raise DomainError("one of --cutoff or --cutoff-log is required")
-    return log_cutoff
+    return default
 
 
 def _write_csv(path, header, rows) -> None:
@@ -87,18 +88,11 @@ def _add_sampling_flags(parser):
     parser.add_argument("--scale", type=float, default=1.0, help="horizontal rescale applied to samples")
 
 
-def _sampling_spec(args) -> ensemble.ExcisionSpec:
-    if args.cutoff_log is None and args.cutoff is None:
-        log_cutoff = -1e9  # no excision: every spectrum is accepted
-    else:
-        log_cutoff = _resolve_log_cutoff(args)
-    return ensemble.ExcisionSpec(n_pairs=args.n, log_cutoff=log_cutoff)
-
-
 def _cmd_sample(args) -> int:
     """`sample`, and `first-eigenvalue`, whose parser has neither --histogram
     (it is always "first") nor --dump-spectra."""
-    spec = _sampling_spec(args)
+    # with no cutoff there is no excision: every spectrum is accepted
+    spec = ensemble.ExcisionSpec(n_pairs=args.n, log_cutoff=_resolve_log_cutoff(args, default=-1e9))
     histogram = getattr(args, "histogram", "first")
     dump_spectra = getattr(args, "dump_spectra", None)
     first = histogram == "first"

@@ -36,13 +36,14 @@ __all__ = [
 ]
 
 _ACCEPTANCE_PROBE = 100_000
-# Rows of an N <= 2 batch, whose row is 2N - 1 <= 3 Beta variables.  At this
+# Rows of every N <= 2 batch, whose row is 2N - 1 <= 3 Beta variables.  At this
 # size a batch's temporaries stay in cache and are reused from the heap; at
 # 50 000 rows the N <= 2 draw ran about 3x slower, and its peak memory varied by
-# up to 8 MiB with the seed as the heap fragmented.  From N = 3 on a batch holds
-# _BATCH_SIZE * 3 Beta variables, so its rows shrink as 1 / (2N - 1): there the
-# largest temporary is the dense N x N Jacobi stack that `eigvalsh` solves,
-# which at 8192 rows would grow as N^2: 9.4 MB at N = 12 and 105 MB at N = 40.
+# up to 8 MiB with the seed as the heap fragmented.  From N = 3 on every batch
+# holds _BATCH_SIZE * 3 Beta variables, so its rows shrink as 1 / (2N - 1), down
+# to one row from N = 12 289 on: there the largest temporary is the dense N x N
+# Jacobi stack that `eigvalsh` solves, which at 8192 rows would grow as N^2:
+# 9.4 MB at N = 12 and 105 MB at N = 40.
 _BATCH_SIZE = 8192
 _MIN_ACCEPTANCE = 1e-6
 
@@ -136,15 +137,12 @@ def _as_phase_matrix(stream) -> np.ndarray:
 def _sample_excised_single(spec: ExcisionSpec, out: np.ndarray, rng) -> int:
     """Fill the rows of `out` with accepted spectra; returns the draws counted."""
     count = len(out)
-    max_batch = _BATCH_SIZE * 3 // max(2 * spec.n_pairs - 1, 3)
+    batch = max(1, _BATCH_SIZE * 3 // max(2 * spec.n_pairs - 1, 3))
     n_accepted = 0
     total = 0
     while n_accepted < count:
-        need = count - n_accepted
-        rate = max(n_accepted / total, _MIN_ACCEPTANCE) if total else 1.0
-        batch = int(min(max_batch, max(np.ceil(1.1 * need / rate), 256)))
         betas = sample_beta_batch(spec.n_pairs, batch, rng)
-        hits = np.nonzero(beta_log_char_poly_batch(betas) >= spec.log_cutoff)[0][:need]
+        hits = np.nonzero(beta_log_char_poly_batch(betas) >= spec.log_cutoff)[0][: count - n_accepted]
         out[n_accepted : n_accepted + len(hits)] = jacobi_eigenphases_batch(betas[hits])
         n_accepted += len(hits)
         # the final batch counts draws up to its last hit only: a sequential rate estimate
@@ -161,17 +159,17 @@ def sample_excised(spec: ExcisionSpec, count: int, seed, workers: int = 1):
     """Exactly `count` accepted eigenphase spectra of the excised ensemble.
 
     Rejection sampling: Haar SO(2N) spectra are drawn from the Killip-Nenciu
-    tridiagonal model in batches of at most 8192 rows at N <= 2 and of about
-    24 576 / (2N - 1) rows above (1068 at N = 12), so the dense N x N stack
-    of a batch stays near 1.2 MB at N = 12 and 4 MB at N = 40 instead of
-    growing as N^2.  Those with log Lambda_A(1, N) < X are discarded before
-    the eigen-solve (closed form at N <= 2, `eigvalsh` above), and a
-    DomainError is raised when the acceptance rate falls below 1e-6.  The
-    draws do not depend on the batch sizes.  With
-    `workers` > 1 the draw is split across independently seeded substreams
-    (spawned from `seed`) and run on at most `os.cpu_count()` threads, so
-    results are deterministic for fixed (seed, workers) and independent of
-    scheduling.
+    tridiagonal model in batches of one width, 8192 rows at N <= 2 and
+    24 576 // (2N - 1) rows (at least one) above, 1068 at N = 12, so the
+    dense N x N stack of a batch stays near 1.2 MB at N = 12 and 4 MB at
+    N = 40 instead of growing as N^2.  Those with log Lambda_A(1, N) < X are
+    discarded before the eigen-solve (closed form at N <= 2, `eigvalsh`
+    above), and a DomainError is raised when the acceptance rate falls below
+    1e-6.  The draws do not depend on the batch width.  The count is split
+    into min(`workers`, `count`) shares, each drawn from its own substream
+    of `SeedSequence(seed)` (`seed` >= 0) on at most `os.cpu_count()`
+    threads, so results are deterministic for fixed (seed, workers), and
+    `workers` above `count` gives the output of `workers` = `count`.
 
     Returns (spectra, summary): spectra has shape (count, N), rows sorted.
     """
@@ -179,16 +177,20 @@ def sample_excised(spec: ExcisionSpec, count: int, seed, workers: int = 1):
         raise DomainError("count must be >= 1")
     if workers < 1:
         raise DomainError(f"workers must be >= 1, not {workers}")
-    seq = seed if isinstance(seed, np.random.SeedSequence) else np.random.SeedSequence(seed)
-    shares = [count // workers + (1 if i < count % workers else 0) for i in range(workers)]
+    if seed < 0:
+        raise DomainError("seed must be >= 0")
+    # held in a local to the end: spawned from a temporary, it cost a cold N = 2
+    # pass of 200 000 spectra ~2000 more minor page faults and 2-4 ms
+    seq = np.random.SeedSequence(seed)
+    streams = min(workers, count)
+    shares = [count // streams + (1 if i < count % streams else 0) for i in range(streams)]
     starts = np.cumsum([0] + shares)
-    rngs = [np.random.default_rng(s) for s in seq.spawn(workers)]
+    rngs = [np.random.default_rng(s) for s in seq.spawn(streams)]
     spectra = np.empty((count, spec.n_pairs))
-    with ThreadPoolExecutor(max_workers=min(workers, os.cpu_count() or 1)) as pool:
+    with ThreadPoolExecutor(max_workers=min(streams, os.cpu_count() or 1)) as pool:
         futures = [
             pool.submit(_sample_excised_single, spec, spectra[start : start + share], rng)
             for start, share, rng in zip(starts, shares, rngs)
-            if share > 0
         ]
         total = sum(f.result() for f in futures)
     summary = SampleSummary(

@@ -254,6 +254,17 @@ class TestSampleCommands:
         assert "workers must be >= 1" in capsys.readouterr().err
         assert not out.exists() and not summary.exists()
 
+    @pytest.mark.parametrize("seed", [-1, -5])
+    @pytest.mark.parametrize("subcommand", [["sample"], ["first-eigenvalue"]])
+    def test_negative_seed_is_domain_error(self, tmp_path, capsys, subcommand, seed):
+        # these once ended in a traceback from SeedSequence
+        out, summary = tmp_path / "h.csv", tmp_path / "s.json"
+        code = run([*subcommand, "--n", 2, "--count", 10, "--cutoff", 0.1, "--seed", seed,
+                    "--out", out, "--summary", summary])
+        assert code == 1
+        assert "seed must be >= 0" in capsys.readouterr().err
+        assert not out.exists() and not summary.exists()
+
     @pytest.mark.parametrize("bins", [0, -3])
     @pytest.mark.parametrize(
         "subcommand",

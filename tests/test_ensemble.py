@@ -115,11 +115,47 @@ class TestSampleExcised:
 
         monkeypatch.setattr(ensemble_module, "sample_beta_batch", recording_sample_beta_batch)
         a, sa = sample_excised(spec, 1000, seed=19)
-        assert len(batches) >= 3 and max(batches) == 311
+        assert len(batches) >= 3 and set(batches) == {311}
         batches.clear()
         monkeypatch.setattr(ensemble_module, "_BATCH_SIZE", 2**20)
         b, sb = sample_excised(spec, 1000, seed=19)
         assert len(batches) == 1
+        assert np.array_equal(a, b)
+        assert sa == sb
+
+    def test_batches_of_zero_rows_are_never_drawn(self, monkeypatch):
+        # a width rule of 0 rows (here _BATCH_SIZE = 1 at N = 3, as 8192 does from
+        # N = 12 289 on) once asked for empty batches forever; it is floored at one row
+        spec = ExcisionSpec(3, X_TENTH)
+        a, sa = sample_excised(spec, 20, seed=29)
+        batches = []
+
+        def recording_sample_beta_batch(n_pairs, count, rng):
+            assert count >= 1, "asked for a batch of 0 rows"
+            batches.append(count)
+            return sample_beta_batch(n_pairs, count, rng)
+
+        monkeypatch.setattr(ensemble_module, "_BATCH_SIZE", 1)
+        monkeypatch.setattr(ensemble_module, "sample_beta_batch", recording_sample_beta_batch)
+        b, sb = sample_excised(spec, 20, seed=29)
+        assert set(batches) == {1} and len(batches) == sb.total_drawn
+        assert np.array_equal(a, b)
+        assert sa == sb
+
+    def test_workers_above_count_build_one_generator_per_spectrum(self, monkeypatch):
+        # 10 000 workers for 5 spectra once built 10 000 generators
+        spec = ExcisionSpec(2, X_TENTH)
+        a, sa = sample_excised(spec, 5, seed=31, workers=5)
+        calls = []
+        default_rng = np.random.default_rng
+
+        def counting_default_rng(seed=None):
+            calls.append(seed)
+            return default_rng(seed)
+
+        monkeypatch.setattr(ensemble_module.np.random, "default_rng", counting_default_rng)
+        b, sb = sample_excised(spec, 5, seed=31, workers=10_000)
+        assert len(calls) <= 5
         assert np.array_equal(a, b)
         assert sa == sb
 
