@@ -25,7 +25,6 @@ import numpy as np
 
 from .errors import DomainError, _check_pairs, check_ensemble
 from .special_functions import (
-    JacobiOrder,
     _log,
     jacobi_p,
     jacobi_p_deriv,
@@ -207,10 +206,10 @@ def gap_margin(n_pairs: int, log_cutoff: float, theta):
 def _wronskian(n_pairs: int, r, x):
     """P(N, r, theta) = P_N' P_{N-1} - P_N P_{N-1}' at x = cos theta, orders (r-1/2, -1/2)."""
     a = np.asarray(r, dtype=complex) - 0.5
-    pn = jacobi_p(JacobiOrder(n_pairs, a, -0.5), x)
-    pnm1 = jacobi_p(JacobiOrder(n_pairs - 1, a, -0.5), x)
-    dn = jacobi_p_deriv(JacobiOrder(n_pairs, a, -0.5), x)
-    dnm1 = jacobi_p_deriv(JacobiOrder(n_pairs - 1, a, -0.5), x)
+    pn = jacobi_p(n_pairs, a, -0.5, x)
+    pnm1 = jacobi_p(n_pairs - 1, a, -0.5, x)
+    dn = jacobi_p_deriv(n_pairs, a, -0.5, x)
+    dnm1 = jacobi_p_deriv(n_pairs - 1, a, -0.5, x)
     return dn * pnm1 - pn * dnm1
 
 

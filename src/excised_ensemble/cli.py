@@ -184,7 +184,7 @@ def _load_histogram(path, kind: str, bins: int) -> ensemble.Histogram:
             return ensemble.read_histogram_csv(path)
         values = np.loadtxt(path, ndmin=1)
     except (KeyError, ValueError, DomainError) as exc:
-        raise DomainError(f"{path} is not a {kind} file: {exc!r}") from exc
+        raise DomainError(f"{path} is not a {kind} file: {type(exc).__name__}: {exc}") from exc
     if values.size == 0:
         raise DomainError(f"no samples in {path}")
     if not np.all(np.isfinite(values)):

@@ -13,7 +13,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from math import isqrt
-from typing import Optional
 
 import numpy as np
 
@@ -48,7 +47,6 @@ E11_CONFIG_KEYS = (
     "kappa_E",
     "a_minus_half",
     "r1",
-    "r2",
     "delta",
     "omega",
     "X_bound",
@@ -105,7 +103,6 @@ class CurveFamilyParams:
     r1: float
     delta: float
     sign_omega: int
-    r2: Optional[float] = None
 
     def __post_init__(self):
         if not _is_prime(self.conductor_M):
@@ -568,8 +565,7 @@ class EulerProductResult:
     """Truncated Euler product with its convergence diagnostic."""
 
     value: float
-    p_max: int
-    last_decade_increment: Optional[float]
+    last_decade_increment: float | None
     decade_values: dict
 
 
@@ -584,6 +580,7 @@ def a_s_truncated(a_p: dict, conductor_M: int, omega: int, s: float, p_max: int)
     `decade_values[p_max]` is the value.
     `last_decade_increment`, a convergence diagnostic, is |value - the entry
     at the largest key <= p_max/10|, or None if there is none (p_max < 100).
+    A value or a decade value that overflows a float raises DomainError.
     """
     if not np.isfinite(s):
         raise DomainError(f"a_s(E) needs a finite s, not {s}")
@@ -600,22 +597,26 @@ def a_s_truncated(a_p: dict, conductor_M: int, omega: int, s: float, p_max: int)
     # last-ulp errors share a sign and reach 1e-12 of the product at p = 10^6.
     lam = a / np.sqrt(p)  # lambda(p), the normalized Dirichlet coefficient
     zp = 1.0 / np.sqrt(p)
-    plus = (1.0 - lam * zp + zp * zp) ** (-s)
-    minus = (1.0 + lam * zp + zp * zp) ** (-s)
-    log_rest = np.log(p / (p + 1.0) * (1.0 / p + 0.5 * (plus + minus)))
     bad = p == conductor_M
-    log_rest[bad] = -s * np.log1p(-lam[bad] * (omega / np.sqrt(conductor_M)))
-    log_factor = s * (s - 1.0) / 2.0 * np.log1p(-1.0 / p) + log_rest
-    log_partial = np.cumsum(log_factor)
     decades = [10**k for k in range(1, len(str(p_max))) if 10**k < primes[-1]]  # 10^k <= p_max
     last = np.searchsorted(p, decades, side="right") - 1  # the last prime <= each decade
-    # a decade below the conductor carries its factor, as the value does
-    log_decades = log_partial[last] + np.where(np.less(decades, conductor_M), log_factor[bad].sum(), 0.0)
-    decade_values = dict(zip(decades, np.exp(log_decades).tolist()))
-    decade_values[p_max] = value = float(np.exp(log_partial[-1]))
+    with np.errstate(over="ignore", invalid="ignore"):  # a large |s|; the finite check below raises
+        plus = (1.0 - lam * zp + zp * zp) ** (-s)
+        minus = (1.0 + lam * zp + zp * zp) ** (-s)
+        log_rest = np.log(p / (p + 1.0) * (1.0 / p + 0.5 * (plus + minus)))
+        log_rest[bad] = -s * np.log1p(-lam[bad] * (omega / np.sqrt(conductor_M)))
+        log_factor = s * (s - 1.0) / 2.0 * np.log1p(-1.0 / p) + log_rest
+        log_partial = np.cumsum(log_factor)
+        # a decade below the conductor carries its factor, as the value does
+        log_decades = log_partial[last] + np.where(np.less(decades, conductor_M), log_factor[bad].sum(), 0.0)
+        values = np.exp(np.append(log_decades, log_partial[-1]))
+    if not np.all(np.isfinite(values)):
+        raise DomainError(f"a_s(E) at s = {s} overflows a float")
+    decade_values = dict(zip(decades + [p_max], values.tolist()))
+    value = decade_values[p_max]
     prev = [v for k, v in decade_values.items() if k <= p_max / 10]
     last_inc = abs(value - prev[-1]) if prev else None
-    return EulerProductResult(value=value, p_max=p_max, last_decade_increment=last_inc, decade_values=decade_values)
+    return EulerProductResult(value=value, last_decade_increment=last_inc, decade_values=decade_values)
 
 
 def cutoff_report(params: CurveFamilyParams, x_bound: float) -> CutoffReport:
@@ -651,21 +652,28 @@ def read_curve_config(path):
     """Parse a flat key-value config file into (params, x_bound).
 
     Lines are `key = value`; blank lines and #-comments are ignored.  Keys:
-    conductor, c1..c6, kappa_E, a_minus_half, r1, r2 (optional), delta,
-    omega, X_bound.  A malformed line, a missing key or a value that does not
-    parse raises DomainError.
+    conductor, c1..c6, kappa_E, a_minus_half, r1, delta, omega, X_bound; any
+    other key is ignored.  A file that is not UTF-8 text, a malformed line, a
+    key given twice, a missing key or a value that does not parse raises
+    DomainError.
     """
     raw = {}
-    with open(path) as fh:
-        for line in fh:
-            line = line.split("#", 1)[0].strip()
-            if not line:
-                continue
-            if "=" not in line:
-                raise DomainError(f"malformed config line: {line!r}")
-            key, value = (part.strip() for part in line.split("=", 1))
-            raw[key] = value
-    missing = [k for k in E11_CONFIG_KEYS if k not in raw and k not in ("r2",)]
+    try:
+        with open(path, encoding="utf-8") as fh:
+            lines = fh.readlines()
+    except UnicodeDecodeError:
+        raise DomainError(f"config {path} is not UTF-8 text") from None
+    for line in lines:
+        line = line.split("#", 1)[0].strip()
+        if not line:
+            continue
+        if "=" not in line:
+            raise DomainError(f"malformed config line: {line!r}")
+        key, value = (part.strip() for part in line.split("=", 1))
+        if key in raw:
+            raise DomainError(f"config key {key} is given twice")
+        raw[key] = value
+    missing = [k for k in E11_CONFIG_KEYS if k not in raw]
     if missing:
         raise DomainError(f"config is missing keys: {', '.join(missing)}")
 
@@ -684,7 +692,6 @@ def read_curve_config(path):
         r1=number("r1"),
         delta=number("delta"),
         sign_omega=number("omega", int),
-        r2=number("r2") if "r2" in raw else None,
     )
     return params, number("X_bound")
 

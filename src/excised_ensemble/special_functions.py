@@ -17,14 +17,12 @@ order needs a separate route, and nothing divides by an order.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import DomainError
 
 __all__ = [
-    "JacobiOrder",
     "log_gamma",
     "barnes_g",
     "log_barnes_g",
@@ -180,44 +178,34 @@ def barnes_g(z: float) -> float:
     return float(np.exp(log_barnes_g(z)))
 
 
-@dataclass(frozen=True)
-class JacobiOrder:
-    """Degree and (possibly complex) weight exponents of a Jacobi polynomial."""
-
-    n: int
-    alpha: complex
-    beta: complex
-
-    def __post_init__(self):
-        if self.n < 0:
-            raise DomainError("Jacobi degree must be nonnegative")
-
-
-def jacobi_p(order: JacobiOrder, x):
-    """P_n^(alpha,beta)(x) = sum_s binom(n+alpha, n-s) binom(n+beta, s) y^s w^(n-s)
-    with y = (x-1)/2 and w = (x+1)/2 (DLMF 18.5.7), summed in nested form.
+def jacobi_p(n: int, alpha, beta, x):
+    """P_n^(alpha,beta)(x), degree n >= 0 and orders alpha, beta real or complex,
+    scalars or arrays that broadcast against x: the explicit sum
+    sum_s binom(n+alpha, n-s) binom(n+beta, s) y^s w^(n-s) with y = (x-1)/2 and
+    w = (x+1)/2 (DLMF 18.5.7), summed in nested form.
 
     term_s = binom(n+beta, s) y^s / (n-s)! is built up in s, and each step
     multiplies the running total by (alpha+s) w, so the binomials in alpha are
     never formed and nothing divides by an order.  y, w and term keep the shape
-    of x (and beta); only the total broadcasts against alpha.
+    of x (and beta); only the total broadcasts against alpha.  A negative n
+    raises DomainError.
     """
-    n, a, b = order.n, order.alpha, order.beta
+    if n < 0:
+        raise DomainError("Jacobi degree must be nonnegative")
     x = np.asarray(x, dtype=complex)
     y, w = (x - 1) / 2, (x + 1) / 2
     term = total = 1.0 / math.factorial(n)
     for s in range(1, n + 1):
-        term = term * ((n + b - s + 1) * (n - s + 1) / s) * y
-        total = term + (a + s) * (w * total)
+        term = term * ((n + beta - s + 1) * (n - s + 1) / s) * y
+        total = term + (alpha + s) * (w * total)
     # degree 0 never entered the loop; its value still takes the shape of x and the orders
-    total = total + np.zeros(np.broadcast(x, a, b).shape, dtype=complex)
+    total = total + np.zeros(np.broadcast(x, alpha, beta).shape, dtype=complex)
     return complex(total) if total.ndim == 0 else total
 
 
-def jacobi_p_deriv(order: JacobiOrder, x):
-    """d/dx P_n^(alpha,beta)(x) = (n+alpha+beta+1)/2 P_(n-1)^(alpha+1,beta+1)(x)
-    (DLMF 18.9.15)."""
-    n, a, b = order.n, order.alpha, order.beta
+def jacobi_p_deriv(n: int, alpha, beta, x):
+    """d/dx P_n^(alpha,beta)(x), with the arguments of `jacobi_p`:
+    (n+alpha+beta+1)/2 P_(n-1)^(alpha+1,beta+1)(x) (DLMF 18.9.15)."""
     if n == 0:
-        return 0 * jacobi_p(order, x)
-    return (n + a + b + 1) / 2 * jacobi_p(JacobiOrder(n - 1, a + 1, b + 1), x)
+        return 0 * jacobi_p(n, alpha, beta, x)
+    return (n + alpha + beta + 1) / 2 * jacobi_p(n - 1, alpha + 1, beta + 1, x)

@@ -389,6 +389,16 @@ class TestApCountCommand:
         assert "needs a finite s" in capsys.readouterr().err
         assert not summary.exists()
 
+    @pytest.mark.parametrize("s", ["1e10", "1e308", "-1e308"])
+    def test_overflowing_euler_s_is_domain_error(self, tmp_path, capsys, s):
+        # finite s whose product overflows once wrote "a_s_value": Infinity or NaN
+        summary = tmp_path / "ap.json"
+        code = run(["ap-count", "--config", E11_CFG, "--p-max", 50, f"--euler-s={s}",
+                    "--out", tmp_path / "ap.csv", "--summary", summary])
+        assert code == 1
+        assert "overflows a float" in capsys.readouterr().err
+        assert not summary.exists()
+
     @pytest.mark.parametrize("p_max", [-5, 0, 1])
     def test_p_max_below_two_is_domain_error(self, tmp_path, capsys, p_max):
         out = tmp_path / "ap.csv"
@@ -541,6 +551,19 @@ class TestCompareCommand:
         assert err.startswith("error:") and str(samples) in err and "non-finite" in err
         assert not out.exists()
 
+    @pytest.mark.parametrize("kind", ["hist", "samples"])
+    def test_binary_input_error_is_one_short_line(self, tmp_path, capsys, kind):
+        # the error once embedded the decoded bytes: 27 KB on one line for a binary file
+        binary = tmp_path / "binary"
+        binary.write_bytes(b"\x7fELF\x02\x01\x01\x00" + np.random.default_rng(0).bytes(30_000))
+        out = tmp_path / "compare.json"
+        code = run(["compare", "--a", binary, "--b", binary, "--a-kind", kind, "--b-kind", kind, "--out", out])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and err.count("\n") == 1 and len(err) < 300
+        assert str(binary) in err
+        assert not out.exists()
+
     def test_summary_json_as_histogram_is_domain_error(self, tmp_path, capsys):
         hist_path, summary = tmp_path / "h.csv", tmp_path / "s.json"
         self._write_hist(hist_path, seed=5)
@@ -572,6 +595,15 @@ class TestErrorPaths:
         code = run([*subcommand, "--config", cfg, "--out", tmp_path / "o"])
         assert code == 1
         assert "error:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("subcommand", [["cutoff"], ["ap-count", "--p-max", 50]])
+    def test_config_that_is_not_utf8_text(self, tmp_path, capsys, subcommand):
+        cfg = tmp_path / "binary.cfg"
+        cfg.write_bytes(b"\xff\xfe\x00")
+        code = run([*subcommand, "--config", cfg, "--out", tmp_path / "o"])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and str(cfg) in err
 
     def test_unreadable_config(self, tmp_path):
         code = run(["cutoff", "--config", tmp_path / "missing.cfg", "--out", tmp_path / "c.json"])

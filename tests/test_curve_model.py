@@ -1,4 +1,5 @@
 import tracemalloc
+import warnings
 from importlib import resources
 from math import isqrt
 
@@ -522,6 +523,16 @@ class TestEulerProduct:
         with pytest.raises(DomainError, match="prime conductor, not 14"):
             a_s_truncated(table, 14, +1, -0.5, p_max)
 
+    @pytest.mark.parametrize("s", [1e10, 1e308, -1e308])
+    def test_overflow_is_domain_error(self, s):
+        a_p = point_counts(E11_WEIERSTRASS, 50, 11)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DomainError, match="overflows a float"):
+                a_s_truncated(a_p, 11, +1, s, 50)
+            # an underflow is a value, the correctly rounded 0.0
+            assert a_s_truncated(a_p, 11, +1, 400.0, 50).value == 0.0
+
     def test_p_max_domain(self):
         with pytest.raises(DomainError):
             a_s_truncated({2: -2, 11: 1}, 11, +1, -0.5, 1)
@@ -547,7 +558,6 @@ class TestParamsAndConfig:
         params, x_bound = read_curve_config(str(path))
         assert params.conductor_M == 11
         assert params.weierstrass == E11_WEIERSTRASS
-        assert params.r2 is None
         assert x_bound == 400_000
 
     def test_missing_key_rejected(self, tmp_path):
@@ -555,6 +565,19 @@ class TestParamsAndConfig:
         bad.write_text("conductor = 11\n")
         with pytest.raises(DomainError, match="missing"):
             read_curve_config(bad)
+
+    def test_repeated_key_rejected(self, tmp_path):
+        path = resources.files("excised_ensemble.data") / "e11.cfg"
+        cfg = tmp_path / "twice.cfg"
+        cfg.write_text(path.read_text() + "delta = 0.2\n")
+        with pytest.raises(DomainError, match="config key delta is given twice"):
+            read_curve_config(cfg)
+
+    def test_unused_key_ignored(self, tmp_path):
+        path = resources.files("excised_ensemble.data") / "e11.cfg"
+        cfg = tmp_path / "extra.cfg"
+        cfg.write_text(path.read_text() + "r2 = 0.5\n")
+        assert read_curve_config(cfg) == read_curve_config(path)
 
     def test_comments_and_blank_lines(self, tmp_path):
         path = resources.files("excised_ensemble.data") / "e11.cfg"
