@@ -16,6 +16,7 @@ import argparse
 import csv
 import dataclasses
 import json
+import re
 import sys
 from importlib import resources
 from pathlib import Path
@@ -159,17 +160,17 @@ def _cmd_cutoff(args) -> int:
 def _cmd_ap_count(args) -> int:
     params, _ = curve_model.read_curve_config(_resolve_config_path(args.config))
     a_p = curve_model.point_counts(params.weierstrass, args.p_max, params.conductor_M)
-    p, a = np.array(list(a_p.items())).T
-    keep = p <= args.p_max  # not the conductor above p_max
-    rows = zip(p[keep].tolist(), a[keep].tolist(), (a / np.sqrt(p))[keep].tolist())
-    _write_csv(args.out, ["p", "a_p", "lambda_p"], rows)
     extra = {}
-    if args.euler_s is not None:
+    if args.euler_s is not None:  # a DomainError here leaves no file behind
         result = curve_model.a_s_truncated(a_p, params.conductor_M, params.sign_omega, args.euler_s, args.p_max)
         extra = {
             "a_s_value": result.value,
             "a_s_last_decade_increment": result.last_decade_increment,
         }
+    p, a = np.array(list(a_p.items())).T
+    keep = p <= args.p_max  # not the conductor above p_max
+    rows = zip(p[keep].tolist(), a[keep].tolist(), (a / np.sqrt(p))[keep].tolist())
+    _write_csv(args.out, ["p", "a_p", "lambda_p"], rows)
     payload = _run_summary(args, conductor=params.conductor_M, p_max=args.p_max, **extra)
     _write_json(payload, args.summary)
     return 0
@@ -206,8 +207,19 @@ def _cmd_compare(args) -> int:
     return 0
 
 
+class _Parser(argparse.ArgumentParser):
+    """An ArgumentParser that reads -1e1, -inf and -nan as negative numbers,
+    as it reads -1 and -.5, so `--cutoff-log -1e1` takes the value instead of
+    failing as an unknown option.  argparse decides that with the private
+    `_negative_number_matcher` (CPython 3.11); subparsers inherit the class."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._negative_number_matcher = re.compile(r"^-(\d+\.?\d*|\.\d+)(e[-+]?\d+)?$|^-(inf|nan)$", re.IGNORECASE)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="excised-ensemble",
         description="Excised orthogonal ensemble: sampling, analytic densities, and curve calibration.",
     )

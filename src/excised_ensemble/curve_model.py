@@ -306,7 +306,12 @@ def _to_affine(X, Y, Z, p, inverse_bits):
 def _double(R, a, p):
     """2R per row on y^2 = x^3 + a x + b over F_p, in Jacobian coordinates;
     2R = O, Z = 0, where R = O or y = 0.  Every product takes two residues
-    in [0, p), so it stays below 2^62 in int64 while p < 2^31."""
+    in [0, p), so it stays below 2^62 in int64 while p < 2^31.  Every
+    expression here and in `_add_affine` is one such product plus at most a
+    few residues or small multiples of them; the largest,
+    3 xx + a (zz^2 mod p), is below p^2 + 3p, under 2^30 + 2^17 < 2^31 in
+    int32 while p < 2^15.  numpy's int32 arithmetic wraps on overflow without
+    a warning, so that bound keeps a margin: p <= 46340 is the exact limit."""
     X, Y, Z = R
     xx = X * X % p
     yy = Y * Y % p
@@ -459,10 +464,11 @@ def _bsgs_counts(c4: int, c6: int, primes: list) -> list:
     On the short model y^2 = f(x) = x^3 + A x + B, A = -27 c4 and B = -54 c6,
     the first pass tries at each prime the least x0 >= 0 with f(x0) != 0,
     and each later pass the next `_RETRY_POINTS` such x0 at the primes that
-    no point has fixed yet.  Residues are int64 while p < 2^31, so that
-    products stay below 2^62, and Python integers (object arrays) above.
+    no point has fixed yet.  The largest prime of the call picks the dtype of
+    the kernel's residues (`_double` bounds its expressions): int32 while
+    p < 2^15, int64 while p < 2^31, and Python integers (object arrays) above.
     """
-    dtype = np.int64 if max(primes) < 2**31 else object
+    dtype = np.int32 if max(primes) < 2**15 else np.int64 if max(primes) < 2**31 else object
     p = np.array(primes, dtype=dtype)
     A = np.array([-27 * c4 % q for q in primes], dtype=dtype)
     B = np.array([-54 * c6 % q for q in primes], dtype=dtype)
@@ -479,7 +485,7 @@ def _bsgs_counts(c4: int, c6: int, primes: list) -> list:
         d = (x0 * x0 % q * x0 % q + A[pending, None] * x0 % q + B[pending, None]) % q
         use = (d != 0) & (np.cumsum(d != 0, axis=1) <= points)
         tried[pending] = np.where(use, x0, -1).max(axis=1)
-        row_prime, d, x0 = pending[np.nonzero(use)[0]], d[use], x0[use]
+        row_prime, d, x0 = pending[np.nonzero(use)[0]], d[use].astype(dtype), x0[use].astype(dtype)
         a = np.empty(len(row_prime), dtype=np.int64)
         fixed = np.empty(len(row_prime), dtype=bool)
         for s in range(0, len(row_prime), _BSGS_ROWS):

@@ -117,12 +117,17 @@ class Histogram:
 
 
 def default_bin_edges(n_bins: int = 100, scale: float = 1.0) -> np.ndarray:
-    """Default binning: `n_bins` equal bins over [0, pi * scale]."""
+    """Default binning: `n_bins` equal bins over [0, pi * scale].
+
+    Raises DomainError unless pi * scale is finite and each bin's width is
+    positive and at least the smallest normal float, so that every density,
+    at most 1 / width, is finite too."""
     if n_bins < 1:
         raise DomainError(f"the number of bins must be >= 1, not {n_bins}")
-    if not (np.isfinite(scale) and scale > 0):
-        raise DomainError(f"scale must be finite and positive, got {scale}")
-    return np.linspace(0.0, np.pi * scale, n_bins + 1)
+    stop = np.pi * float(scale)
+    if not (np.isfinite(stop) and stop / n_bins >= np.finfo(float).tiny):
+        raise DomainError(f"scale must be finite and positive, with pi * scale / bins a normal float, got {scale}")
+    return np.linspace(0.0, stop, n_bins + 1)
 
 
 def _as_phase_matrix(stream) -> np.ndarray:

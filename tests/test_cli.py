@@ -94,7 +94,10 @@ class TestDensityCommand:
         assert "n_pairs must be >= 1" in capsys.readouterr().err
         assert not out.exists()
 
-    @pytest.mark.parametrize("cutoff", [["--cutoff", "nan"], ["--cutoff-log", "nan"], ["--cutoff-log=-inf"]])
+    # a separate -inf once exited 2, read by argparse as an option
+    @pytest.mark.parametrize(
+        "cutoff", [["--cutoff", "nan"], ["--cutoff-log", "nan"], ["--cutoff-log=-inf"], ["--cutoff-log", "-inf"]]
+    )
     def test_non_finite_cutoff_is_domain_error(self, tmp_path, capsys, cutoff):
         out = tmp_path / "density.csv"
         code = run(["density", "--n", 2, *cutoff, "--grid", 8, "--out", out, "--summary", tmp_path / "s.json"])
@@ -254,6 +257,18 @@ class TestSampleCommands:
         assert "workers must be >= 1" in capsys.readouterr().err
         assert not out.exists() and not summary.exists()
 
+    @pytest.mark.parametrize("scale", ["1e-320", "1e308"])
+    @pytest.mark.parametrize("subcommand", [["first-eigenvalue"], ["sample", "--histogram", "first"]])
+    def test_scale_without_finite_normal_bins_is_domain_error(self, tmp_path, capsys, subcommand, scale):
+        # 1e-320 once wrote inf densities over bins 3e-322 wide with exit 0, and
+        # 1e308 leaked linspace's RuntimeWarning, an error under -W error
+        out, summary = tmp_path / "h.csv", tmp_path / "s.json"
+        code = run([*subcommand, "--n", 2, "--count", 5, "--seed", 1, f"--scale={scale}",
+                    "--out", out, "--summary", summary])
+        assert code == 1
+        assert capsys.readouterr().err.startswith("error: scale")
+        assert not out.exists() and not summary.exists()
+
     @pytest.mark.parametrize("seed", [-1, -5])
     @pytest.mark.parametrize("subcommand", [["sample"], ["first-eigenvalue"]])
     def test_negative_seed_is_domain_error(self, tmp_path, capsys, subcommand, seed):
@@ -398,6 +413,14 @@ class TestApCountCommand:
         assert code == 1
         assert "overflows a float" in capsys.readouterr().err
         assert not summary.exists()
+
+    @pytest.mark.parametrize("s", ["1e10", "nan"])
+    def test_rejected_euler_s_leaves_no_file(self, tmp_path, monkeypatch, capsys, s):
+        # the CSV was once written in full before the Euler product raised
+        monkeypatch.chdir(tmp_path)
+        assert run(["ap-count", "--config", "e11", "--p-max", 100, f"--euler-s={s}"]) == 1
+        assert capsys.readouterr().err.startswith("error:")
+        assert list(tmp_path.iterdir()) == []
 
     @pytest.mark.parametrize("p_max", [-5, 0, 1])
     def test_p_max_below_two_is_domain_error(self, tmp_path, capsys, p_max):
@@ -604,6 +627,22 @@ class TestErrorPaths:
         assert code == 1
         err = capsys.readouterr().err
         assert err.startswith("error:") and str(cfg) in err
+
+    @pytest.mark.parametrize(
+        "command, flag, value, same",
+        [(["density", "--n", 2, "--grid", 20], "--cutoff-log", "-1e1", "-1e1"),
+         (["ap-count", "--config", "e11", "--p-max", 100], "--euler-s", "-5e-1", "-0.5")],
+    )
+    def test_negative_exponent_form_is_a_value(self, tmp_path, monkeypatch, command, flag, value, same):
+        # argparse alone reads -1e1 as an option and exits 2; the parser's
+        # negative-number pattern, private in argparse, also takes exponent forms
+        outputs = []
+        for i, flags in enumerate([[flag, value], [f"{flag}={same}"]]):
+            (tmp_path / str(i)).mkdir()
+            monkeypatch.chdir(tmp_path / str(i))
+            assert run([*command, *flags]) == 0
+            outputs.append({path.name: path.read_bytes() for path in (tmp_path / str(i)).iterdir()})
+        assert len(outputs[0]) == 2 and outputs[0] == outputs[1]
 
     def test_unreadable_config(self, tmp_path):
         code = run(["cutoff", "--config", tmp_path / "missing.cfg", "--out", tmp_path / "c.json"])

@@ -238,6 +238,44 @@ class TestPointCounting:
             tracemalloc.stop()
         assert peak <= 3.75 * 2**20
 
+    def test_peak_memory_of_the_3e4_counts(self):
+        # the kernel's residues are int32 below p = 2^15: 3.97 MiB in int64
+        tracemalloc.start()
+        try:
+            point_counts(E11_WEIERSTRASS, 30_000, 11)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2.75 * 2**20
+
+    @pytest.mark.parametrize("curve", BSGS_CURVES.values(), ids=BSGS_CURVES.keys())
+    def test_residue_dtype_at_2_to_the_15(self, curve, monkeypatch):
+        # the largest primes below 2^15 count on int32 residues in a call of
+        # their own, and on int64 in one with the smallest primes above it
+        below = [32693, 32707, 32713, 32717, 32719, 32749]
+        above = [32771, 32779, 32783, 32789, 32797, 32801]
+        dtypes = []
+        kernel = curve_model._bsgs_traces
+
+        def spy(p, *args):
+            dtypes.append(p.dtype)
+            return kernel(p, *args)
+
+        monkeypatch.setattr(curve_model, "_bsgs_traces", spy)
+        for primes, dtype in ((below + above, np.int64), (below, np.int32)):
+            dtypes.clear()
+            assert _counts_at(curve, primes) == {q: _count_points_character_sum(curve, q) for q in primes}
+            assert dtypes and set(dtypes) == {np.dtype(dtype)}
+
+    def test_int32_and_int64_kernels_agree_on_the_3e4_rows(self):
+        p = np.array([q for q in _sieve(30_000).tolist() if q > 229])
+        outputs = []
+        for dtype in (np.int32, np.int64):
+            one = np.ones(len(p), dtype=dtype)
+            outputs.append(curve_model._bsgs_traces(p.astype(dtype), one, 3 * one, one))
+        (a32, fixed32), (a64, fixed64) = outputs
+        assert np.array_equal(a32, a64) and np.array_equal(fixed32, fixed64)
+
     @pytest.mark.parametrize("curve", BSGS_CURVES.values(), ids=BSGS_CURVES.keys())
     def test_table_boundary_rows(self, curve):
         # one call: 233 has the least m, 6; at 277 and 311 a window digit 7
