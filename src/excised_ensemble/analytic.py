@@ -282,8 +282,11 @@ def _exponent_size(n_pairs: int, modulus, d):
     """Summed size of the exponent of an integrand at |r| <= modulus, for both
     routes and the ratio: r d and at most 4(N+1) log-Gamma terms of size up to
     (|r|+N) log(|r|+2N+1).  A value built as its exponential errs by eps times
-    this."""
-    return modulus * d + 4 * (n_pairs + 1) * (modulus + n_pairs) * np.log(modulus + 2 * n_pairs + 1)
+    this.  Capped at the largest float, so that an exactly-zero value carries
+    a rounding size of 0, not inf * 0 = NaN."""
+    with np.errstate(over="ignore"):
+        size = modulus * d + 4 * (n_pairs + 1) * (modulus + n_pairs) * np.log(modulus + 2 * n_pairs + 1)
+    return np.minimum(size, np.finfo(float).max)
 
 
 def _contour_nodes(centers):
@@ -349,7 +352,8 @@ def _density_residue(n_pairs: int, log_cutoff: float, thetas):
         values = np.einsum("pck,pk->cp", (table @ b).real.reshape(len(d), len(centers), size), cosines)
         sizes = (table_abs @ np.abs(b)).reshape(len(d), len(centers), size)
         magnitudes = np.einsum("pck,pk->cp", sizes, np.abs(cosines))
-        scales = np.exp(np.multiply.outer(centers + _CONTOUR_RADIUS, d) + top)
+        with np.errstate(over="ignore"):
+            scales = np.exp(np.multiply.outer(centers + _CONTOUR_RADIUS, d) + top)
         values *= scales
         magnitudes *= scales
         magnitudes += _exponent_size(n_pairs, np.abs(centers)[:, None] + _CONTOUR_RADIUS, d) * np.abs(values)
@@ -421,9 +425,9 @@ def normalization_ratio(n_pairs: int, log_cutoff: float, truncation_K: int = 10)
         z, weights = _contour_nodes(centers)
         with np.errstate(over="ignore", invalid="ignore"):  # where the series diverges; the (0, 1] check raises
             terms = np.exp(z * d + _log_moment_gammas(n_pairs, z)) / z * (z - centers[:, None])
-        values = terms.real @ weights
-        shared = _exponent_size(n_pairs, np.abs(centers) + _CONTOUR_RADIUS, d)
-        return values, np.abs(terms) @ weights + shared * np.abs(values)
+            values = terms.real @ weights
+            shared = _exponent_size(n_pairs, np.abs(centers) + _CONTOUR_RADIUS, d)
+            return values, np.abs(terms) @ weights + shared * np.abs(values)
 
     result = NormalizationResult(*map(float, _residue_series(residue, truncation_K, 1.0)))
     if not 0.0 < result.value <= 1.0:
@@ -448,43 +452,55 @@ def _leading_power(n_pairs: int) -> float:
     return n_pairs * n_pairs - 2 * n_pairs + 2 - (n_pairs - 1) / 2.0
 
 
-def _line_quadrature(n_pairs: int, log_cutoff: float, theta: float, c: float):
-    """(1/2 pi i) times the Bromwich integral of the excised integrand (d > 0)
-    on the parabola r = c + is - kappa s^2, kappa = 0.15 / p (Weideman and
-    Trefethen, Math. Comp. 76, 2007), where e^(r d) decays like
-    e^(-kappa d s^2): Gauss-Legendre panels 0.2 wide up to s = 2 and s/10
-    beyond, to kappa d s^2 = 40.  Scaling by 1/p keeps large N, whose Jacobi
-    sums cancel far from the real axis, near the vertical line.  By conjugate
-    symmetry the value is Im(sum w f r') / pi over s > 0.
+def _line_quadrature(n_pairs: int, log_cutoff: float, thetas, c: float):
+    """(1/2 pi i) times the Bromwich integral of the excised integrand at each
+    of the ascending `thetas` (d > 0) on the parabola r = c + is - kappa s^2,
+    kappa = 0.15 / p (Weideman and Trefethen, Math. Comp. 76, 2007), where
+    e^(r d) decays like e^(-kappa d s^2): Gauss-Legendre panels 0.2 wide up to
+    s = 2 and s/10 beyond, to kappa d s^2 = 40.  Scaling by 1/p keeps large N,
+    whose Jacobi sums cancel far from the real axis, near the vertical line.
+    By conjugate symmetry each value is Im(sum w f r') / pi over s > 0.
+    d grows with theta, so runs of consecutive angles share the nodes of their
+    first, smallest d, each run as long as keeps its (angle, node) arrays
+    within _JACOBI_ENTRIES: one integrand call, and one pass of the theta-free
+    log-Gammas, a run.
 
-    Raises DomainError where a term is not finite: next to the gap edge at
-    large N the nodes reach |r| where the Jacobi forms' products overflow.
+    Raises DomainError naming the first angle where a term is not finite: next
+    to the gap edge at large N the nodes reach |r| where the Jacobi forms'
+    products overflow.
 
-    Returns (value, error estimate), both still to be divided by the ratio:
-    the last panel's magnitude, which bounds the remainder, plus the rounding
-    floor, as each term is the exponential of r d and of at most 4(N+1)
-    log-Gamma terms of size up to (|r|+N) log(|r|+2N+1), and errs by eps
-    times their sum.
+    Returns arrays (values, error estimates), both still to be divided by the
+    ratio: the last panel's magnitude, which bounds the remainder, plus the
+    rounding floor, as each term is the exponential of r d and of at most
+    4(N+1) log-Gamma terms of size up to (|r|+N) log(|r|+2N+1), and errs by
+    eps times their sum.
     """
-    d = gap_margin(n_pairs, log_cutoff, theta)
+    d = gap_margin(n_pairs, log_cutoff, thetas)
     kappa = _KAPPA0 / _leading_power(n_pairs)
-    s_max = np.sqrt(_PARABOLA_DECAY / (kappa * d))
-    edges = [0.0]
-    while edges[-1] < s_max:
-        edges.append(edges[-1] + max(0.2, edges[-1] / 10.0))
-    edges = np.asarray(edges)[:, None]
-    mid, half = (edges[:-1] + edges[1:]) / 2.0, (edges[1:] - edges[:-1]) / 2.0
-    s, wts = (mid + half * _GL_NODES).ravel(), (half * _GL_WEIGHTS).ravel()
-    r = c + 1j * s - kappa * s * s
-    with np.errstate(over="ignore", invalid="ignore"):
-        terms = wts * (1j - 2.0 * kappa * s) * excised_integrand(n_pairs, log_cutoff, theta, r)
-    if not np.all(np.isfinite(terms)):
-        raise DomainError(
-            f"density at theta={theta!r} is not finite: the Jacobi forms on the Bromwich parabola overflow a float"
-        )
-    size, mag = np.abs(terms), np.abs(r)
-    error = size[-len(_GL_NODES):].sum() + _EPS * np.sum(size * _exponent_size(n_pairs, mag, d))
-    return float(np.sum(terms).imag / np.pi), float(error / np.pi)
+    values, errors = np.empty_like(d), np.empty_like(d)
+    start = 0
+    while start < len(d):
+        s_max = np.sqrt(_PARABOLA_DECAY / (kappa * d[start]))
+        edges = [0.0]
+        while edges[-1] < s_max:
+            edges.append(edges[-1] + max(0.2, edges[-1] / 10.0))
+        edges = np.asarray(edges)[:, None]
+        mid, half = (edges[:-1] + edges[1:]) / 2.0, (edges[1:] - edges[:-1]) / 2.0
+        s, wts = (mid + half * _GL_NODES).ravel(), (half * _GL_WEIGHTS).ravel()
+        r = c + 1j * s - kappa * s * s
+        run = slice(start, start + max(1, _JACOBI_ENTRIES // len(s)))
+        with np.errstate(over="ignore", invalid="ignore"):
+            terms = wts * (1j - 2.0 * kappa * s) * excised_integrand(n_pairs, log_cutoff, thetas[run, None], r)
+        overflow = ~np.isfinite(terms).all(axis=1)
+        if np.any(overflow):
+            raise DomainError(f"density at theta={float(thetas[run][np.argmax(overflow)])!r} is not finite: "
+                              "the Jacobi forms on the Bromwich parabola overflow a float")
+        size = np.abs(terms)
+        values[run] = terms.sum(axis=1).imag / np.pi
+        rounding = _EPS * np.sum(size * _exponent_size(n_pairs, np.abs(r), d[run, None]), axis=1)
+        errors[run] = (size[:, -len(_GL_NODES):].sum(axis=1) + rounding) / np.pi
+        start = run.stop
+    return values, errors
 
 
 def r1_excised_line_integral(n_pairs: int, log_cutoff: float, theta: float, c: float = 0.5) -> float:
@@ -503,7 +519,7 @@ def r1_excised_line_integral(n_pairs: int, log_cutoff: float, theta: float, c: f
     if d < 0:
         return 0.0
     ratio = normalization_ratio(n_pairs, log_cutoff).value
-    value, tail_err = _line_quadrature(n_pairs, log_cutoff, theta, c)
+    (value,), (tail_err,) = _line_quadrature(n_pairs, log_cutoff, np.array([theta], dtype=float), c)
     if tail_err / ratio > _DENSITY_TOL:
         raise DomainError(f"line-integral error estimate {tail_err / ratio:.2e} exceeds tolerance {_DENSITY_TOL:.0e}")
     return value / ratio
@@ -543,11 +559,13 @@ def density_grid(n_pairs: int, log_cutoff: float, thetas, truncation_K: int = 10
     `normalization_ratio(n_pairs, log_cutoff)`.  Zero on the hard gap (the
     boundary d = 0 is assigned to the gap).  Where the residue series' error
     exceeds 1e-9 (next to the gap edge, and where the residue terms cancel)
-    the value is recomputed on the Bromwich parabola through c = 1/2.  A
-    point whose final tail still exceeds 1e-9 keeps its value; `tails` shows
+    the value is recomputed on the Bromwich parabola through c = 1/2, every
+    such point in one `_line_quadrature` call, which needs the grid ascending.
+    A point whose final tail still exceeds 1e-9 keeps its value; `tails` shows
     the miss.  A negative value within its tail of 0 becomes 0; one further
     below, or NaN, raises DomainError, and so does a parabola whose terms
-    overflow (next to the gap edge at large N).
+    overflow (next to the gap edge at large N), and so does a grid that is not
+    strictly ascending, before any route runs.
     """
     if truncation_K < 1:
         raise DomainError("truncation_K must be >= 1")
@@ -555,6 +573,8 @@ def density_grid(n_pairs: int, log_cutoff: float, thetas, truncation_K: int = 10
     outside = ~((thetas >= 0) & (thetas <= np.pi))
     if np.any(outside):
         raise DomainError(f"theta={float(thetas[np.argmax(outside)])!r} is not a finite angle in [0, pi]")
+    if np.any(np.diff(thetas) <= 0):
+        raise DomainError("theta grid must be strictly ascending")
     ratio = normalization_ratio(n_pairs, log_cutoff)
     norm = ratio.value
     values = np.zeros_like(thetas)
@@ -568,9 +588,8 @@ def density_grid(n_pairs: int, log_cutoff: float, thetas, truncation_K: int = 10
         values[live] = sums / norm
         tails[live] = errors / norm
     line_route = tails > _DENSITY_TOL
-    for i in np.nonzero(line_route)[0]:
-        value, tail_err = _line_quadrature(n_pairs, log_cutoff, float(thetas[i]), 0.5)
-        values[i], tails[i] = value / norm, tail_err / norm
+    line_values, line_errors = _line_quadrature(n_pairs, log_cutoff, thetas[line_route], 0.5)
+    values[line_route], tails[line_route] = line_values / norm, line_errors / norm
     below = ~(values >= -tails)
     if np.any(below):
         i = np.argmax(below)

@@ -588,6 +588,15 @@ class TestExcisedDensity:
         with pytest.raises(DomainError, match=re.escape(f"theta={theta!r}")):
             density_grid(2, X_TENTH, [1.0, theta, 2.0, np.nan])
 
+    def test_descending_grid_raises_before_any_route(self, monkeypatch):
+        # the order was once checked only by DensityGrid, after every route had run
+        def fail(*args, **kwargs):
+            raise AssertionError("summed the ratio before checking the order")
+
+        monkeypatch.setattr(analytic, "normalization_ratio", fail)
+        with pytest.raises(DomainError, match="strictly ascending"):
+            density_grid(2, X_TENTH, [2.0, 1.0])
+
     @pytest.mark.parametrize("truncation_K", [0, -3])
     def test_truncation_below_one_raises(self, truncation_K):
         # the highest "pole" summed was then r = +1.5, where there is none
@@ -710,6 +719,83 @@ class TestLineIntegral:
         vals = excised_integrand(2, X_TENTH, 1.0, 0.5 + 1j * ts)
         integral = np.trapezoid(vals, ts) / (2 * np.pi)
         assert abs(integral.imag) <= 1e-10 * abs(integral.real)
+
+
+class TestBatchedLineRoute:
+    """The line route's points go to `_line_quadrature` in one call, which
+    takes them in runs of consecutive angles on the nodes of each run's first."""
+
+    EFF_N2 = (2, np.log(0.001466), np.linspace(0, np.pi, 2000))
+    STD_N12 = (12, np.log(0.005424), np.linspace(0, np.pi, 100))
+    N6 = (6, 0.0, np.linspace(0, np.pi, 301))
+
+    @pytest.mark.parametrize("grid, calls", [(EFF_N2, 13), (STD_N12, 8)], ids=["eff-n2", "std-n12"])
+    def test_one_integrand_call_per_grid(self, monkeypatch, grid, calls):
+        # one call per line point before the batching: 13 and 8
+        seen = []
+
+        def spy(*args):
+            seen.append(args)
+            return excised_integrand(*args)
+
+        monkeypatch.setattr(analytic, "excised_integrand", spy)
+        assert density_grid(*grid).line_route.sum() == calls
+        assert len(seen) == 1
+
+    @pytest.mark.parametrize("grid, points", [(EFF_N2, 13), (STD_N12, 8), (N6, 45)], ids=["eff-n2", "std-n12", "n6"])
+    def test_batch_matches_one_angle_calls(self, grid, points):
+        n, log_cutoff, thetas = grid
+        line = thetas[density_grid(*grid).line_route]
+        assert len(line) == points
+        values, errors = analytic._line_quadrature(n, log_cutoff, line, 0.5)
+        for theta, value in zip(line, values):
+            (alone,), (error,) = analytic._line_quadrature(n, log_cutoff, np.array([theta]), 0.5)
+            assert abs(value - alone) <= 0.1 * error
+
+    def test_overflow_names_the_first_angle_of_a_run(self):
+        thetas = theta_inf(24, -12.0) * (1 + 10.0 ** -np.array([9.0, 8.0, 7.0]))
+        with pytest.raises(DomainError, match=re.escape(f"density at theta={float(thetas[0])!r} is not finite")):
+            density_grid(24, -12.0, thetas)
+
+    def test_peak_memory_of_a_grid_next_to_the_gap_edge(self):
+        # 302 line points with d from 2e-9 to 5.5: one batch on the nodes of the
+        # smallest d peaked at 60.1 MiB, runs of consecutive angles at 7.9 MiB
+        ti = theta_inf(6, 0.0)
+        thetas = np.sort(np.r_[np.linspace(0, np.pi, 2000), ti * (1 + 10.0 ** -np.arange(3, 10))])
+        tracemalloc.start()
+        try:
+            density_grid(6, 0.0, thetas)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 12 * 2**20
+
+
+class TestRoundingSizesStayFinite:
+    """An exponent beyond a float once made a rounding size inf, and an
+    exactly-zero residue's size inf * 0 = NaN, or leaked an overflow warning."""
+
+    def test_ratio_at_a_huge_negative_cutoff(self):
+        # the tail read NaN and passed the 1e-10 check, as nan > 1e-10 is False
+        result = normalization_ratio(2, -1e308)
+        assert result.value == 1.0 and result.tail_estimate <= 2.3e-16
+
+    def test_density_at_a_huge_negative_cutoff_is_that_of_so2n(self):
+        # the tails read NaN, and the grid raised "is below -tail = nan"
+        thetas = np.linspace(0, np.pi, 9)[1:]
+        dg = density_grid(2, -1e308, thetas)
+        assert np.array_equal(dg.values, r1_so2n_unscaled(2, thetas))
+        assert np.all(dg.tails <= 2.3e-16)
+
+    def test_divergent_ratio_raises_without_an_overflow_warning(self):
+        with pytest.raises(DomainError, match=re.escape("lies outside (0, 1]")):
+            normalization_ratio(30000, -2.0)
+
+    def test_grid_next_to_the_gap_edge_at_n36_leaks_no_warning(self):
+        # the residue pass's scales overflowed to inf at the poles far from this edge point
+        thetas = np.sort(np.r_[np.linspace(0, np.pi, 5), 1.01 * theta_inf(36, -12.0)])
+        dg = density_grid(36, -12.0, thetas)
+        assert np.all(np.isfinite(dg.values)) and np.all(dg.values[1:] > 0)
 
 
 class TestDensityGrid:

@@ -45,6 +45,17 @@ class TestDensityCommand:
         grid = analytic.density_grid(2, np.log(0.1), np.linspace(0.0, np.pi, 9))
         assert np.array_equal(np.array(fields, dtype=float), np.column_stack([grid.thetas, grid.values]))
 
+    def test_huge_negative_cutoff_gives_the_so2n_density(self, tmp_path):
+        # rounding sizes of inf * 0 made every tail NaN: four RuntimeWarnings, then
+        # "density 0.861699 ... is below -tail = nan" and exit 1
+        out = tmp_path / "density.csv"
+        code = run(["density", "--n", 2, "--cutoff-log=-1e308", "--grid", 9, "--out", out,
+                    "--summary", tmp_path / "s.json"])
+        assert code == 0
+        thetas, values = np.loadtxt(out, delimiter=",", skiprows=1)[1:].T
+        assert np.array_equal(values, analytic.r1_so2n_unscaled(2, thetas))
+        assert json.loads((tmp_path / "s.json").read_text())["max_tail"] <= 2.3e-16
+
     def test_ratio_outside_unit_interval_is_domain_error(self, tmp_path, capsys):
         # the residue series gives 1.21 here; nothing may be scaled by it
         out = tmp_path / "density.csv"

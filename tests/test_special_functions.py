@@ -96,7 +96,7 @@ def _parabola_arguments(n, d, monkeypatch):
 
     monkeypatch.setattr(analytic, "log_gamma", spy)
     try:
-        analytic._line_quadrature(n, (2 * n - 1) * math.log(2.0) - d, math.pi / 2, 0.5)
+        analytic._line_quadrature(n, (2 * n - 1) * math.log(2.0) - d, np.array([math.pi / 2]), 0.5)
     except DomainError as error:  # the Jacobi sums of N = 35 overflow far along the parabola at d = 1e-12
         assert "overflow" in str(error)
     return np.concatenate([z for z in seen if z.size > 1])
