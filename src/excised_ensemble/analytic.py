@@ -58,7 +58,19 @@ _JACOBI_ENTRIES = 8192  # complex entries of one Jacobi array in the residue pas
 _RATIO_TOL = 1e-10
 _DENSITY_TOL = 1e-9
 _EPS = np.finfo(float).eps
-_GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(12)
+# The 12-point Gauss-Legendre rule, equal bit for bit to
+# numpy.polynomial.legendre.leggauss(12), written out so that no start-up
+# imports numpy.polynomial.  The rule is symmetric: its six nodes and weights
+# at x > 0 give the whole of it.
+_GL_NODES, _GL_WEIGHTS = (
+    np.concatenate([sign * half[::-1], half])
+    for sign, half in (
+        (-1.0, np.array([0.1252334085114689, 0.3678314989981802, 0.5873179542866175,
+                         0.7699026741943047, 0.9041172563704748, 0.9815606342467192])),
+        (1.0, np.array([0.2491470458134027, 0.2334925365383546, 0.20316742672306573,
+                        0.16007832854334642, 0.10693932599531907, 0.04717533638651141])),
+    )
+)
 _KAPPA0 = 0.15  # curvature of the Bromwich parabola times _leading_power(N)
 _PARABOLA_DECAY = 40.0  # kappa d s^2 at the parabola's end
 
@@ -330,15 +342,20 @@ def _density_residue(n_pairs: int, log_cutoff: float, thetas):
     exponentials that a residue's terms share err together and scale the
     residue as a whole.  The cosine coefficients take as few Jacobi calls as
     keep each array within _JACOBI_ENTRIES.
+
+    Each call builds B once and the theta part, T, |T|, the cosines and the
+    two products, in blocks of angles whose table holds at most
+    _JACOBI_ENTRIES entries, 126 angles of the 65 nodes, each block written
+    into the (pole, angle) results.  Built whole, those arrays grew with the
+    grid: 5 MiB of peak memory at N = 2 on 2000 angles and 466 MiB on
+    200 000.  Every row of a product depends on its own angle only, so the
+    blocks give the same values.
     """
     d = gap_margin(n_pairs, log_cutoff, thetas)
     size = 2 * n_pairs - 1
     offsets, node_weights = _contour_nodes(0.0)
-    table = np.multiply.outer(d, offsets - _CONTOUR_RADIUS)
-    np.exp(table, out=table)
-    table_abs = np.abs(table)
-    cosines = np.cos(np.multiply.outer(thetas, np.arange(size)))
     per_call = max(1, _JACOBI_ENTRIES // (len(offsets) * size))
+    per_block = _JACOBI_ENTRIES // len(offsets)
 
     def residue(centers):
         z = np.add.outer(centers, offsets)
@@ -349,9 +366,17 @@ def _density_residue(n_pairs: int, log_cutoff: float, thetas):
                             for start in range(0, len(centers), per_call)])
         b *= weights[..., None]
         b = b.swapaxes(0, 1).reshape(len(offsets), -1)  # columns (pole, k)
-        values = np.einsum("pck,pk->cp", (table @ b).real.reshape(len(d), len(centers), size), cosines)
-        sizes = (table_abs @ np.abs(b)).reshape(len(d), len(centers), size)
-        magnitudes = np.einsum("pck,pk->cp", sizes, np.abs(cosines))
+        b_abs = np.abs(b)
+        values = np.empty((len(centers), len(d)))
+        magnitudes = np.empty_like(values)
+        for start in range(0, len(d), per_block):
+            run = slice(start, start + per_block)
+            table = np.multiply.outer(d[run], offsets - _CONTOUR_RADIUS)
+            np.exp(table, out=table)
+            cosines = np.cos(np.multiply.outer(thetas[run], np.arange(size)))
+            shape = (len(cosines), len(centers), size)
+            values[:, run] = np.einsum("pck,pk->cp", (table @ b).real.reshape(shape), cosines)
+            magnitudes[:, run] = np.einsum("pck,pk->cp", (np.abs(table) @ b_abs).reshape(shape), np.abs(cosines))
         with np.errstate(over="ignore"):
             scales = np.exp(np.multiply.outer(centers + _CONTOUR_RADIUS, d) + top)
         values *= scales
@@ -467,7 +492,9 @@ def _line_quadrature(n_pairs: int, log_cutoff: float, thetas, c: float):
 
     Raises DomainError naming the first angle where a term is not finite: next
     to the gap edge at large N the nodes reach |r| where the Jacobi forms'
-    products overflow.
+    products overflow, and at c d above the log of the largest float
+    e^(c d), the size of e^(r d) at s = 0, overflows by itself; the message
+    names e^(c d) and its exponent there.
 
     Returns arrays (values, error estimates), both still to be divided by the
     ratio: the last panel's magnitude, which bounds the remainder, plus the
@@ -493,8 +520,11 @@ def _line_quadrature(n_pairs: int, log_cutoff: float, thetas, c: float):
             terms = wts * (1j - 2.0 * kappa * s) * excised_integrand(n_pairs, log_cutoff, thetas[run, None], r)
         overflow = ~np.isfinite(terms).all(axis=1)
         if np.any(overflow):
-            raise DomainError(f"density at theta={float(thetas[run][np.argmax(overflow)])!r} is not finite: "
-                              "the Jacobi forms on the Bromwich parabola overflow a float")
+            first = np.argmax(overflow)
+            exponent, log_max = c * d[run][first], np.log(np.finfo(float).max)
+            cause = (f"e^(c d) on the Bromwich parabola overflows a float, c d = {exponent:.6g} > {log_max:.6g}"
+                     if exponent > log_max else "the Jacobi forms on the Bromwich parabola overflow a float")
+            raise DomainError(f"density at theta={float(thetas[run][first])!r} is not finite: {cause}")
         size = np.abs(terms)
         values[run] = terms.sum(axis=1).imag / np.pi
         rounding = _EPS * np.sum(size * _exponent_size(n_pairs, np.abs(r), d[run, None]), axis=1)

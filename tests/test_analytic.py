@@ -544,7 +544,8 @@ class TestExcisedDensity:
 
     def test_peak_memory_of_the_eff_n2_grid(self):
         # full 128-node tables built out of place peaked at 7.83 MiB, the
-        # half-circle tables built in place at 6.1 MiB
+        # half-circle tables built in place at 6.1 MiB, whole at 5.0 MiB and
+        # in blocks of 126 angles at 1.5 MiB
         thetas = np.linspace(0, np.pi, 2000)
         tracemalloc.start()
         try:
@@ -552,7 +553,19 @@ class TestExcisedDensity:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= 7.0 * 2**20
+        assert peak <= 2.5 * 2**20
+
+    def test_peak_memory_of_a_grid_ten_times_eff_n2(self):
+        # the whole half-circle table and its products peaked at 46.8 MiB, the
+        # blocks at 11 MiB, most of it the (pole x angle) arrays
+        thetas = np.linspace(0, np.pi, 20_000)
+        tracemalloc.start()
+        try:
+            density_grid(2, np.log(0.001466), thetas)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 16 * 2**20
 
     def test_negative_beyond_tail_raises(self, monkeypatch):
         # the line route once returned -1.8e13 near the edge, which was clipped to 0
@@ -692,8 +705,34 @@ class TestFactoredResidues:
             assert np.all(np.abs(values[c] - value) <= 4 * np.finfo(float).eps * magnitude)
             np.testing.assert_allclose(magnitudes[c], magnitude, rtol=1e-12, atol=0)
 
+    @pytest.mark.parametrize("n,log_cutoff", [(1, -2.0), (2, np.log(0.001466)), (12, np.log(0.005424))])
+    def test_blocks_of_angles_match_one_block(self, n, log_cutoff, monkeypatch):
+        # blocks of 7 angles, against one block of all 1001; every row of the
+        # products is its own angle's, so only the summation order may move
+        thetas = np.linspace(0, np.pi, 1001)
+        thetas = thetas[gap_margin(n, log_cutoff, thetas) > 0]
+        centers = -(2 * np.arange(13) + 1) / 2.0
+        monkeypatch.setattr(analytic, "_JACOBI_ENTRIES", 2**30)
+        whole, whole_sizes = analytic._density_residue(n, log_cutoff, thetas)(centers)
+        monkeypatch.setattr(analytic, "_JACOBI_ENTRIES", 7 * 65)
+        values, magnitudes = analytic._density_residue(n, log_cutoff, thetas)(centers)
+        assert np.all(np.abs(values - whole) <= 4 * np.finfo(float).eps * whole_sizes)
+        np.testing.assert_allclose(magnitudes, whole_sizes, rtol=1e-12, atol=0)
+
 
 class TestLineIntegral:
+    def test_gauss_legendre_rule_is_leggauss_bit_for_bit(self):
+        nodes, weights = np.polynomial.legendre.leggauss(12)
+        assert analytic._GL_NODES.tobytes() == nodes.tobytes()
+        assert analytic._GL_WEIGHTS.tobytes() == weights.tobytes()
+
+    @pytest.mark.parametrize("log_cutoff", [-1420.0, -1500.0])
+    def test_overflow_of_the_exponential_alone_is_named(self, log_cutoff):
+        # c d = 710.7 and 750.7 > log(largest float) = 709.8: e^(c d) overflows by
+        # itself, which once read "the Jacobi forms ... overflow"
+        with pytest.raises(DomainError, match=re.escape("e^(c d)") + r".*c d = 7[15]0\.65"):
+            r1_excised_line_integral(2, log_cutoff, 1.0)
+
     def test_gap_interior_is_zero(self):
         ti = theta_inf(2, X_TENTH)
         assert r1_excised_line_integral(2, X_TENTH, ti * 0.5) == 0.0

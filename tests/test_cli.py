@@ -4,7 +4,7 @@ from importlib import resources
 import numpy as np
 import pytest
 
-from excised_ensemble import analytic, curve_model, ensemble
+from excised_ensemble import analytic, cli, curve_model, ensemble
 from excised_ensemble.cli import main
 from excised_ensemble.errors import DomainError
 from excised_ensemble.haar import log_char_poly_batch
@@ -14,6 +14,24 @@ E11_CFG = str(resources.files("excised_ensemble.data") / "e11.cfg")
 
 def run(args):
     return main([str(a) for a in args])
+
+
+def test_one_parser_per_process(tmp_path, monkeypatch):
+    # a rebuild cost 1.1-1.4 ms of every call, and a pass runs two commands
+    builds = []
+    init = cli._Parser.__init__
+
+    def counting_init(self, *args, **kwargs):
+        builds.append(kwargs.get("prog"))
+        init(self, *args, **kwargs)
+
+    cli.build_parser.cache_clear()
+    monkeypatch.setattr(cli._Parser, "__init__", counting_init)
+    monkeypatch.chdir(tmp_path)
+    for _ in range(2):
+        assert run(["moments", "--n", 2, "--s", 0.5]) == 0
+    # the subcommands' parsers are _Parser too, each named after its command
+    assert builds.count("excised-ensemble") == 1
 
 
 class TestDensityCommand:

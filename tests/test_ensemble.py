@@ -297,6 +297,28 @@ class TestFirstEigenvalue:
         counts, _ = np.histogram(phases.min(axis=1), edges)
         assert np.array_equal(first_eigenvalue_distribution(phases, edges).counts, counts)
 
+    def test_peak_memory_does_not_grow_with_the_stream(self):
+        # the whole column of smallest phases and its rescaled copy peaked at
+        # 2.53 MiB on 200 000 spectra; blocks of _BATCH_SIZE rows at 0.13 MiB
+        phases = np.sort(np.random.default_rng(5).uniform(0.0, np.pi, (200_000, 2)), axis=1)
+        edges = default_bin_edges(100, scale=1.118)
+        tracemalloc.start()
+        try:
+            first_eigenvalue_distribution(phases, edges, scale=1.118)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 0.5 * 2**20
+
+    def test_single_phase_spectra_are_left_unmodified(self):
+        # at N = 1 the fold over columns returns the caller's own column, so a
+        # rescale in place would overwrite the input
+        phases = np.random.default_rng(9).uniform(0.0, np.pi, (1000, 1))
+        before = phases.copy()
+        hist = first_eigenvalue_distribution(phases, default_bin_edges(30, scale=2.0), scale=2.0)
+        assert np.array_equal(phases, before)
+        assert np.array_equal(hist.counts, np.histogram(2.0 * before[:, 0], default_bin_edges(30, scale=2.0))[0])
+
     def test_two_pass_consistency(self):
         # histogram CDF against an independently computed empirical CDF
         spectra, _ = sample_excised(ExcisionSpec(2, NO_CUT), 20_000, seed=15)
@@ -319,6 +341,19 @@ class TestOneLevelDensity:
         spectra, _ = sample_excised(ExcisionSpec(3, NO_CUT), 500, seed=8)
         hist = empirical_one_level_density(spectra, default_bin_edges(40))
         assert np.sum(hist.values() * hist.widths) == pytest.approx(3.0, abs=1e-12)
+
+
+@pytest.mark.parametrize("n_pairs", [1, 2, 12])
+def test_blocked_counts_equal_one_histogram(monkeypatch, n_pairs):
+    # counts over disjoint blocks add up to those of the whole, here in blocks
+    # of 7 rows (first eigenvalue) and of 7 phases (one-level density)
+    phases = np.sort(np.random.default_rng(40 + n_pairs).uniform(0.0, np.pi, (1000, n_pairs)), axis=1)
+    edges = default_bin_edges(40, scale=1.118)
+    first = np.histogram(phases.min(axis=1) * 1.118, edges)[0]
+    level = np.histogram(phases.ravel(), edges)[0]
+    monkeypatch.setattr(ensemble_module, "_BATCH_SIZE", 7)
+    assert np.array_equal(first_eigenvalue_distribution(phases, edges, scale=1.118).counts, first)
+    assert np.array_equal(empirical_one_level_density(phases, edges).counts, level)
 
 
 class TestCdfDistance:

@@ -132,3 +132,23 @@ def test_commands_import_no_numpy_ma(tmp_path):
             [sys.executable, "-c", code, *argv], capture_output=True, text=True, env=env, cwd=tmp_path, check=True
         )
         assert proc.stdout.split("\n")[-2] == "False", argv
+
+
+def test_start_up_and_density_import_no_numpy_polynomial(tmp_path):
+    # the parabola's Gauss-Legendre rule is written out: importing
+    # numpy.polynomial for leggauss raised the start-up's peak RSS by 1.5 MiB
+    code = (
+        "import sys\n"
+        "import excised_ensemble.cli\n"
+        "excised_ensemble.cli.build_parser()\n"
+        "print(any(m.startswith('numpy.polynomial') for m in sys.modules))\n"
+        "assert excised_ensemble.cli.main(sys.argv[1:]) == 0\n"
+        "print(any(m.startswith('numpy.polynomial') for m in sys.modules))\n"
+    )
+    # 100 points put one on the parabola, whose quadrature takes the rule
+    argv = ["density", "--n", "2", "--cutoff", "0.001466", "--grid", "100", "--out", "density.csv"]
+    src = str(Path(excised_ensemble.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.run([sys.executable, "-c", code, *argv], capture_output=True, text=True, env=env, cwd=tmp_path,
+                          check=True)
+    assert proc.stdout.split("\n")[:2] == ["False", "False"]
