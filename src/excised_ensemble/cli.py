@@ -7,7 +7,8 @@ byte-for-byte from the command line alone.
 
 Exit codes: 0 success, 1 domain error (an argument outside the mathematical
 domain, such as a cutoff that empties the ensemble), 2 usage error (bad
-flags, unreadable config, unwritable output).
+flags, unreadable config, unwritable output).  A nonzero exit leaves no
+output file that did not exist before the run.
 """
 
 from __future__ import annotations
@@ -17,6 +18,7 @@ import csv
 import dataclasses
 import functools
 import json
+import os
 import re
 import sys
 from importlib import resources
@@ -195,8 +197,7 @@ def _load_histogram(path, kind: str, bins: int) -> ensemble.Histogram:
     edges = np.linspace(lo, hi, bins + 1)
     if not np.all(np.diff(edges) > 0):
         raise DomainError(f"the samples in {path} span no range to split into {bins} bins: all lie in [{lo!r}, {hi!r}]")
-    counts, _ = np.histogram(values, bins=edges)
-    return ensemble.Histogram(edges, counts)
+    return ensemble.Histogram.of_samples(values.ravel(), edges)
 
 
 def _cmd_compare(args) -> int:
@@ -286,16 +287,19 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    """Run one command; on exit 1 or 2 remove the output paths that did not
+    exist before it ran, so a failed run leaves no partial output."""
     parser = build_parser()
     args = parser.parse_args(argv)
+    outputs = [getattr(args, flag, None) for flag in ("out", "summary", "dump_spectra")]
+    new = [path for path in outputs if path and not os.path.lexists(path)]
     try:
         return args.func(args)
-    except DomainError as exc:
+    except (DomainError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+        for path in new:
+            Path(path).unlink(missing_ok=True)
+        return 1 if isinstance(exc, DomainError) else 2
 
 
 if __name__ == "__main__":

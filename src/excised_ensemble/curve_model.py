@@ -53,11 +53,9 @@ E11_CONFIG_KEYS = (
 )
 
 
-# Miller-Rabin with the first 12 prime bases is exact below 3.18e23, and with
-# the first 4 below 3215031751: those are the least strong pseudoprimes to all
-# of them (Pomerance-Selfridge-Wagstaff 1980; Sorenson-Webster 2017)
+# Miller-Rabin with the first 12 prime bases is exact below 3.18e23, the least
+# strong pseudoprime to all of them (Sorenson-Webster 2017)
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
-_MR_FOUR_BASES_BELOW = 3_215_031_751
 
 
 def _is_prime(n: int) -> bool:
@@ -70,7 +68,7 @@ def _is_prime(n: int) -> bool:
     d, twos = n - 1, 0
     while d % 2 == 0:
         d, twos = d // 2, twos + 1
-    for q in _MR_BASES[:4] if n < _MR_FOUR_BASES_BELOW else _MR_BASES:
+    for q in _MR_BASES:
         x = pow(q, d, n)
         if x in (1, n - 1):
             continue

@@ -71,9 +71,11 @@ class SampleSummary:
 class Histogram:
     """Binned statistic rendered as a probability density.
 
-    `counts` are per-bin counts (or any nonnegative per-bin masses);
-    `values()` renders them as a density that integrates to `total_mass`
-    (1 for probability densities, N for one-level densities).
+    `counts` are per-bin counts (or any nonnegative per-bin masses), not all
+    zero: an empty histogram raises DomainError when it is built, so it has
+    no density, CDF or support to ask for.  `values()` renders the counts as
+    a density that integrates to `total_mass` (1 for probability densities,
+    N for one-level densities).
     """
 
     bin_edges: np.ndarray
@@ -89,30 +91,37 @@ class Histogram:
             raise DomainError("bin edges must be strictly ascending")
         if np.any(self.counts < 0):
             raise DomainError("counts must be nonnegative")
+        if not np.any(self.counts):
+            raise DomainError("the histogram is empty: every count is 0")
+
+    @classmethod
+    def of_samples(cls, samples, bin_edges, transform=np.asarray, total_mass: float = 1.0) -> Histogram:
+        """Counts of `transform(block)` summed over the blocks of _BATCH_SIZE
+        entries of `samples`, which add up to the counts of the whole.  Each
+        block's values are built inside the np.histogram call and freed before
+        the next block's are built: built whole, the rescaled smallest phases
+        of 200 000 spectra took 2.5 MiB of peak memory, against 0.13 MiB."""
+        edges = np.asarray(bin_edges, float)
+        counts = np.zeros(len(edges) - 1, dtype=np.intp)
+        for start in range(0, len(samples), _BATCH_SIZE):
+            counts += np.histogram(transform(samples[start : start + _BATCH_SIZE]), bins=edges)[0]
+        return cls(edges, counts, total_mass)
 
     @property
     def widths(self) -> np.ndarray:
         return np.diff(self.bin_edges)
 
     def values(self) -> np.ndarray:
-        total = self.counts.sum()
-        if total == 0:
-            raise DomainError("empty histogram has no normalized values")
-        return self.total_mass * self.counts / (total * self.widths)
+        return self.total_mass * self.counts / (self.counts.sum() * self.widths)
 
     def cdf_at(self, x) -> np.ndarray:
         """Empirical CDF, piecewise linear between bin edges."""
-        total = self.counts.sum()
-        if total == 0:
-            raise DomainError("empty histogram has no CDF")
-        cum = np.concatenate([[0.0], np.cumsum(self.counts)]) / total
+        cum = np.concatenate([[0.0], np.cumsum(self.counts)]) / self.counts.sum()
         return np.interp(np.asarray(x, dtype=float), self.bin_edges, cum, left=0.0, right=1.0)
 
     @property
     def support(self) -> tuple:
         nonzero = np.nonzero(self.counts)[0]
-        if len(nonzero) == 0:
-            raise DomainError("empty histogram has no support")
         return float(self.bin_edges[nonzero[0]]), float(self.bin_edges[nonzero[-1] + 1])
 
 
@@ -130,19 +139,10 @@ def default_bin_edges(n_bins: int = 100, scale: float = 1.0) -> np.ndarray:
     return np.linspace(0.0, stop, n_bins + 1)
 
 
-def _as_phase_matrix(stream) -> np.ndarray:
-    phases = np.asarray(stream, dtype=float)
-    if phases.ndim == 1:
-        phases = phases[None, :]
-    if phases.size == 0:
-        raise DomainError("empty spectrum stream")
-    return phases
-
-
-def _sample_excised_single(spec: ExcisionSpec, out: np.ndarray, rng) -> int:
-    """Fill the rows of `out` with accepted spectra; returns the draws counted."""
+def _sample_excised_single(spec: ExcisionSpec, out: np.ndarray, rng, batch: int) -> int:
+    """Fill the rows of `out` with accepted spectra drawn `batch` rows at a
+    time; returns the draws counted."""
     count = len(out)
-    batch = max(1, _BATCH_SIZE * 3 // max(2 * spec.n_pairs - 1, 3))
     n_accepted = 0
     total = 0
     while n_accepted < count:
@@ -174,7 +174,10 @@ def sample_excised(spec: ExcisionSpec, count: int, seed, workers: int = 1):
     into min(`workers`, `count`) shares, each drawn from its own substream
     of `SeedSequence(seed)` (`seed` >= 0) on at most `os.cpu_count()`
     threads, so results are deterministic for fixed (seed, workers), and
-    `workers` above `count` gives the output of `workers` = `count`.
+    `workers` above `count` gives the output of `workers` = `count`.  Before
+    any draw, a DomainError is raised when N > 2 and a batch's dense stack,
+    8 N^2 bytes a row, exceeds the host's physical memory (from N = 12 289
+    on, a batch is one row: 74.5 GiB at N = 100 000).
 
     Returns (spectra, summary): spectra has shape (count, N), rows sorted.
     """
@@ -184,6 +187,13 @@ def sample_excised(spec: ExcisionSpec, count: int, seed, workers: int = 1):
         raise DomainError(f"workers must be >= 1, not {workers}")
     if seed < 0:
         raise DomainError("seed must be >= 0")
+    batch = max(1, _BATCH_SIZE * 3 // max(2 * spec.n_pairs - 1, 3))
+    stack, memory = 8 * spec.n_pairs**2 * batch, os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+    if spec.n_pairs > 2 and stack > memory:
+        raise DomainError(
+            f"the dense Jacobi stack of a {batch}-row batch at N = {spec.n_pairs} needs {stack / 2**30:.1f} GiB, "
+            f"more than the host's {memory / 2**30:.1f} GiB of physical memory"
+        )
     # held in a local to the end: spawned from a temporary, it cost a cold N = 2
     # pass of 200 000 spectra ~2000 more minor page faults and 2-4 ms
     seq = np.random.SeedSequence(seed)
@@ -194,7 +204,7 @@ def sample_excised(spec: ExcisionSpec, count: int, seed, workers: int = 1):
     spectra = np.empty((count, spec.n_pairs))
     with ThreadPoolExecutor(max_workers=min(streams, os.cpu_count() or 1)) as pool:
         futures = [
-            pool.submit(_sample_excised_single, spec, spectra[start : start + share], rng)
+            pool.submit(_sample_excised_single, spec, spectra[start : start + share], rng, batch)
             for start, share, rng in zip(starts, shares, rngs)
         ]
         total = sum(f.result() for f in futures)
@@ -209,39 +219,23 @@ def sample_excised(spec: ExcisionSpec, count: int, seed, workers: int = 1):
 
 def first_eigenvalue_distribution(stream, bin_edges, scale: float = 1.0) -> Histogram:
     """Probability density histogram of the smallest eigenphase, with samples
-    multiplied by `scale` (mean-matching rescale) before binning.
-
-    The counts are summed over blocks of _BATCH_SIZE spectra, as counts over
-    disjoint blocks add up to the counts of the whole: built whole, the
-    smallest phases and their rescaled copy took 2.5 MiB of peak memory on
-    200 000 spectra, against 0.13 MiB in blocks.  Each block is rescaled into
-    a new array, never in place, as at N = 1 the fold returns the caller's
-    own column."""
-    phases = _as_phase_matrix(stream)
-    edges = np.asarray(bin_edges, float)
-    counts = np.zeros(len(edges) - 1, dtype=np.intp)
-    for start in range(0, len(phases), _BATCH_SIZE):
-        # a fold over the N columns: numpy reduces short rows slowly.  Unnamed,
-        # a block's smallest phases are freed before the next block's are built
-        counts += np.histogram(functools.reduce(np.minimum, phases[start : start + _BATCH_SIZE].T) * scale,
-                               bins=edges)[0]
-    return Histogram(edges, counts)
+    multiplied by `scale` (mean-matching rescale) before binning, counted in
+    blocks of _BATCH_SIZE spectra.  A stream of no phases is a DomainError."""
+    # a fold over the N columns, as numpy reduces short rows slowly.  From +inf
+    # it puts a spectrum of no phases outside every bin, and at N = 1 it returns
+    # a new array, not the caller's column
+    return Histogram.of_samples(np.atleast_2d(np.asarray(stream, dtype=float)), bin_edges,
+                                lambda block: functools.reduce(np.minimum, block.T, np.inf) * scale)
 
 
 def empirical_one_level_density(stream, bin_edges) -> Histogram:
     """Histogram over all phases of all spectra, normalized so that the
-    density integrates to N (one-level density convention).  The counts are
-    summed over blocks of _BATCH_SIZE phases, as in
-    `first_eigenvalue_distribution`: built whole, np.histogram's sorted
-    copies took 1 MiB of peak memory on 20 000 spectra at N = 12, against
-    0.07 MiB in blocks."""
-    phases = _as_phase_matrix(stream)
-    edges = np.asarray(bin_edges, float)
-    counts = np.zeros(len(edges) - 1, dtype=np.intp)
-    flat = phases.ravel()
-    for start in range(0, len(flat), _BATCH_SIZE):
-        counts += np.histogram(flat[start : start + _BATCH_SIZE], bins=edges)[0]
-    return Histogram(edges, counts, total_mass=float(phases.shape[1]))
+    density integrates to N (one-level density convention), counted in
+    blocks of _BATCH_SIZE phases (`Histogram.of_samples`): built whole,
+    np.histogram's sorted copies took 1 MiB of peak memory on 20 000 spectra
+    at N = 12, against 0.07 MiB in blocks."""
+    phases = np.atleast_2d(np.asarray(stream, dtype=float))
+    return Histogram.of_samples(phases.ravel(), bin_edges, total_mass=float(phases.shape[1]))
 
 
 def cdf_distance(a: Histogram, b: Histogram, n_grid: int = 64) -> float:

@@ -429,6 +429,11 @@ class TestExcisedIntegrand:
         with pytest.raises(DomainError):
             excised_integrand(2, X_TENTH, 1.0, np.array([-1.5 + 0j]))
 
+    @pytest.mark.parametrize("theta", [0.0, np.pi + 1e-12, 4.0])
+    def test_angle_outside_zero_pi_rejected(self, theta):
+        with pytest.raises(DomainError, match=re.escape("requires theta in (0, pi]")):
+            excised_integrand(2, X_TENTH, theta, np.array([0.5 + 1j]))
+
 
 class TestExcisedDensity:
     def test_hard_gap_zero(self):
@@ -615,6 +620,8 @@ class TestExcisedDensity:
         # the highest "pole" summed was then r = +1.5, where there is none
         with pytest.raises(DomainError, match="truncation_K must be >= 1"):
             density_grid(2, X_TENTH, [1.0], truncation_K=truncation_K)
+        with pytest.raises(DomainError, match="truncation_K must be >= 1"):
+            normalization_ratio(2, X_TENTH, truncation_K=truncation_K)
 
     @pytest.mark.parametrize(
         "call",
@@ -745,6 +752,12 @@ class TestLineIntegral:
     def test_bad_abscissa(self):
         with pytest.raises(DomainError):
             r1_excised_line_integral(2, X_TENTH, 1.0, c=0.0)
+
+    def test_error_estimate_above_tolerance_raises(self):
+        # 1e-9 past the gap edge the parabola's rounding floor exceeds 1e-9
+        theta = theta_inf(2, X_TENTH) * (1 + 1e-9)
+        with pytest.raises(DomainError, match=re.escape("error estimate 1.04e-09 exceeds tolerance 1e-09")):
+            r1_excised_line_integral(2, X_TENTH, theta)
 
     def test_contour_choice_irrelevant(self):
         a = r1_excised_line_integral(2, X_TENTH, 1.0, c=0.5)

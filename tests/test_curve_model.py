@@ -1,3 +1,4 @@
+import re
 import tracemalloc
 import warnings
 from importlib import resources
@@ -102,6 +103,11 @@ class TestMatrixSizes:
         with pytest.raises(DomainError):
             n_eff(1.0, 0.0)
 
+    @pytest.mark.parametrize("observed", [0.0, -0.28])
+    def test_vanishing_constant_must_be_positive(self, observed):
+        with pytest.raises(DomainError, match="observed constant must be positive"):
+            delta_from_vanishing_constant(observed)
+
 
 class TestCutoffConstants:
     def test_c_std(self, e11):
@@ -166,9 +172,10 @@ class TestPointCounting:
         for p in (5, 7, 13, 29, 53, 97):
             assert abs(count_points_fp(E11_WEIERSTRASS, p)) <= 2 * np.sqrt(p)
 
-    def test_non_prime_rejected(self):
-        with pytest.raises(DomainError):
-            count_points_fp(E11_WEIERSTRASS, 9)
+    @pytest.mark.parametrize("count", [count_points_fp, count_points_double_loop])
+    def test_non_prime_rejected(self, count):
+        with pytest.raises(DomainError, match="p must be prime"):
+            count(E11_WEIERSTRASS, 9)
 
     def test_other_curve(self):
         # y^2 + y = x^3 - x (conductor 37): a_2 = -2, a_3 = -3, a_5 = -2, a_7 = -1
@@ -591,6 +598,10 @@ class TestParamsAndConfig:
         with pytest.raises(DomainError):
             CurveFamilyParams(11, E11_WEIERSTRASS, 1.0, 1.0, 1.0, 1.0, 2)
 
+    def test_four_coefficients_rejected(self):
+        with pytest.raises(DomainError, match=re.escape("(c1, c2, c3, c4, c6)")):
+            CurveFamilyParams(11, E11_WEIERSTRASS[:4], 1.0, 1.0, 1.0, 1.0, 1)
+
     def test_bundled_config_loads(self):
         path = resources.files("excised_ensemble.data") / "e11.cfg"
         params, x_bound = read_curve_config(str(path))
@@ -603,6 +614,13 @@ class TestParamsAndConfig:
         bad.write_text("conductor = 11\n")
         with pytest.raises(DomainError, match="missing"):
             read_curve_config(bad)
+
+    def test_line_without_equals_rejected(self, tmp_path):
+        path = resources.files("excised_ensemble.data") / "e11.cfg"
+        cfg = tmp_path / "bare.cfg"
+        cfg.write_text(path.read_text() + "delta 0.2\n")
+        with pytest.raises(DomainError, match="malformed config line: 'delta 0.2'"):
+            read_curve_config(cfg)
 
     def test_repeated_key_rejected(self, tmp_path):
         path = resources.files("excised_ensemble.data") / "e11.cfg"

@@ -187,9 +187,41 @@ class TestSampleExcised:
                 return np.broadcast_to(np.eye(size[-1]), size).copy()
 
         phases = np.empty((5, 1))
-        total = ensemble_module._sample_excised_single(ExcisionSpec(1, -1e9), phases, PhaseZeroGenerator())
+        total = ensemble_module._sample_excised_single(ExcisionSpec(1, -1e9), phases, PhaseZeroGenerator(), 8192)
         assert np.array_equal(phases, np.zeros((5, 1)))
         assert total == 5
+
+    @pytest.mark.parametrize(
+        "count, workers, seed, message",
+        [(0, 1, 0, "count must be >= 1"), (5, 0, 0, "workers must be >= 1"), (5, 1, -1, "seed must be >= 0")],
+        ids=["count0", "workers0", "seed-1"],
+    )
+    def test_argument_below_its_floor_rejected(self, count, workers, seed, message):
+        with pytest.raises(DomainError, match=message):
+            sample_excised(ExcisionSpec(2, X_TENTH), count, seed=seed, workers=workers)
+
+    @pytest.mark.parametrize(
+        "n_pairs, pages, message",
+        [(100_000, 2**21, "needs 74.5 GiB, more than the host's 8.0 GiB"), (10_000_000, None, "needs 745058.1 GiB")],
+        ids=["n1e5-8GiB-host", "n1e7-host-memory"],
+    )
+    def test_stack_beyond_physical_memory_raises_before_any_allocation(self, monkeypatch, n_pairs, pages, message):
+        # from N = 12 289 on a batch is one row, whose dense Jacobi stack takes
+        # 8 N^2 bytes: at N = 100 000 numpy once failed to allocate 74.5 GiB
+        def fail(*args):
+            raise AssertionError("drew a batch")
+
+        monkeypatch.setattr(ensemble_module, "sample_beta_batch", fail)
+        if pages is not None:
+            monkeypatch.setattr(ensemble_module.os, "sysconf", {"SC_PAGE_SIZE": 4096, "SC_PHYS_PAGES": pages}.get)
+        tracemalloc.start()
+        try:
+            with pytest.raises(DomainError, match=r"a 1-row batch at N = \d+ " + message):
+                sample_excised(ExcisionSpec(n_pairs, X_TENTH), 5, seed=0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20  # not even the (5, N) output
 
     def test_raising_cutoff_never_accepts_more(self):
         # acceptance is a threshold on a per-matrix scalar
@@ -230,6 +262,14 @@ class TestHistogram:
             Histogram(np.array([0.0, 1.0]), np.array([1, 2]))
         with pytest.raises(DomainError):
             Histogram(np.array([0.0, 1.0, 0.5]), np.array([1, 2]))
+
+    @pytest.mark.parametrize(
+        "counts, message", [([1, -1], "counts must be nonnegative"), ([0, 0], "empty"), ([0.0, 0.0], "empty")]
+    )
+    def test_negative_or_all_zero_counts_rejected(self, counts, message):
+        # an empty histogram is refused when built, so no method checks it again
+        with pytest.raises(DomainError, match=message):
+            Histogram(np.array([0.0, 1.0, 2.0]), np.array(counts))
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_non_finite_edges_or_counts_rejected(self, bad):
@@ -276,9 +316,12 @@ class TestFirstEigenvalue:
         hist = first_eigenvalue_distribution(spectra, default_bin_edges(50))
         assert np.sum(hist.values() * hist.widths) == pytest.approx(1.0, abs=1e-12)
 
-    def test_empty_stream_rejected(self):
-        with pytest.raises(DomainError):
-            first_eigenvalue_distribution(np.empty((0, 2)), default_bin_edges(10))
+    @pytest.mark.parametrize("shape", [(0, 2), (1, 0), (3, 0), (0,)])
+    @pytest.mark.parametrize("statistic", [first_eigenvalue_distribution, empirical_one_level_density])
+    def test_empty_stream_rejected(self, statistic, shape):
+        # at (1, 0) and (3, 0) the fold over no columns starts from its +inf
+        with pytest.raises(DomainError, match="empty"):
+            statistic(np.empty(shape), default_bin_edges(10))
 
     @pytest.mark.parametrize("scale", [0.0, -1.0, np.nan, np.inf])
     def test_scale_must_be_finite_and_positive(self, scale):
