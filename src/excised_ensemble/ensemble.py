@@ -15,6 +15,7 @@ import numpy as np
 
 from .errors import DomainError, check_ensemble
 from .haar import (
+    _SmallBatch,
     beta_log_char_poly_batch,
     jacobi_eigenphases_batch,
     sample_beta_batch,
@@ -37,13 +38,17 @@ __all__ = [
 
 _ACCEPTANCE_PROBE = 100_000
 # Rows of every N <= 2 batch, whose row is 2N - 1 <= 3 Beta variables.  At this
-# size a batch's temporaries stay in cache and are reused from the heap; at
-# 50 000 rows the N <= 2 draw ran about 3x slower, and its peak memory varied by
-# up to 8 MiB with the seed as the heap fragmented.  From N = 3 on every batch
-# holds _BATCH_SIZE * 3 Beta variables, so its rows shrink as 1 / (2N - 1), down
-# to one row from N = 12 289 on: there the largest temporary is the dense N x N
-# Jacobi stack that `eigvalsh` solves, which at 8192 rows would grow as N^2:
-# 9.4 MB at N = 12 and 105 MB at N = 40.
+# size a batch's arrays stay in cache; at 50 000 rows the N <= 2 draw ran about
+# 3x slower, and its peak memory varied by up to 8 MiB with the seed as the heap
+# fragmented.  Each share allocates those arrays once and every batch reuses
+# them (`haar._SmallBatch`, 584 KiB at N = 2): allocated afresh, a fresh pass of
+# 200 000 spectra took 3 242 minor page faults instead of 1 045, as glibc mapped
+# and unmapped each array of 128 KiB or more and trimmed the worker's arena
+# between batches.  From N = 3 on every batch holds _BATCH_SIZE * 3 Beta
+# variables, so its rows shrink as 1 / (2N - 1), down to one row from N = 12 289
+# on: there the largest temporary is the dense N x N Jacobi stack that `eigvalsh`
+# solves, which at 8192 rows would grow as N^2: 9.4 MB at N = 12 and 105 MB at
+# N = 40.
 _BATCH_SIZE = 8192
 _MIN_ACCEPTANCE = 1e-6
 
@@ -141,17 +146,37 @@ def default_bin_edges(n_bins: int = 100, scale: float = 1.0) -> np.ndarray:
 
 def _sample_excised_single(spec: ExcisionSpec, out: np.ndarray, rng, batch: int) -> int:
     """Fill the rows of `out` with accepted spectra drawn `batch` rows at a
-    time; returns the draws counted."""
+    time; returns the draws counted.  At N <= 2 the share allocates its batch
+    arrays once, before its first batch, and writes the phases straight into
+    `out` (see _BATCH_SIZE and `haar._SmallBatch`).  Above that it zeroes one
+    dense Jacobi stack of `batch` rows, and each batch writes only the bands
+    of its accepted rows: a fresh stack a batch cost std-n12 1.5 MiB of peak
+    memory."""
     count = len(out)
+    small = _SmallBatch(spec.n_pairs, batch) if spec.n_pairs <= 2 else None
+    stack = np.zeros((batch, spec.n_pairs**2)) if small is None else None
     n_accepted = 0
     total = 0
     while n_accepted < count:
-        betas = sample_beta_batch(spec.n_pairs, batch, rng)
-        hits = np.nonzero(beta_log_char_poly_batch(betas) >= spec.log_cutoff)[0][: count - n_accepted]
-        out[n_accepted : n_accepted + len(hits)] = jacobi_eigenphases_batch(betas[hits])
-        n_accepted += len(hits)
-        # the final batch counts draws up to its last hit only: a sequential rate estimate
-        total += int(hits[-1]) + 1 if n_accepted == count else batch
+        if small is None:
+            betas = sample_beta_batch(spec.n_pairs, batch, rng)
+            hits = beta_log_char_poly_batch(betas) >= spec.log_cutoff
+        else:
+            hits = small.draw(rng, spec.log_cutoff)
+        found, wanted = np.count_nonzero(hits), count - n_accepted
+        drawn = batch
+        if found >= wanted:
+            # the final batch counts draws up to its last hit only: a sequential rate estimate
+            drawn = int(np.flatnonzero(hits)[wanted - 1]) + 1
+            hits[drawn:] = False
+            found = wanted
+        rows = out[n_accepted : n_accepted + found]
+        if small is None:
+            rows[:] = jacobi_eigenphases_batch(np.compress(hits, betas, axis=0), stack)
+        else:
+            small.eigenphases(hits, rows)
+        n_accepted += found
+        total += drawn
         if total >= _ACCEPTANCE_PROBE and n_accepted / total < _MIN_ACCEPTANCE:
             raise DomainError(
                 f"projected acceptance rate {n_accepted / total:.2e} below floor {_MIN_ACCEPTANCE:.0e} "

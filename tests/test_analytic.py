@@ -712,6 +712,31 @@ class TestFactoredResidues:
             assert np.all(np.abs(values[c] - value) <= 4 * np.finfo(float).eps * magnitude)
             np.testing.assert_allclose(magnitudes[c], magnitude, rtol=1e-12, atol=0)
 
+    @pytest.mark.parametrize("n,log_cutoff", [(2, np.log(0.001466)), (12, -40.0)], ids=["eff-n2", "n12-x-40"])
+    def test_table_from_tan_matches_complex_exp(self, n, log_cutoff):
+        # the pass builds T from the real exp and tan(x / 2), x = d rho sin phi;
+        # here it is the complex exp of the exponent, with the same B, in one
+        # product.  At N = 12, X = -40 x passes pi, where tan(x / 2) crosses its pole
+        thetas = np.linspace(0, np.pi, 2000)
+        d = gap_margin(n, log_cutoff, thetas)
+        thetas, d = thetas[d > 0], d[d > 0]
+        assert (d.max() * analytic._CONTOUR_RADIUS > np.pi) == (n == 12)
+        centers = -(2 * np.arange(13) + 1) / 2.0
+        values, magnitudes = analytic._density_residue(n, log_cutoff, thetas)(centers)
+
+        offsets, node_weights = analytic._contour_nodes(0.0)
+        z = np.add.outer(centers, offsets)
+        log_g = analytic._log_integrand_gammas(n, z)
+        top = np.max(log_g.real, axis=1, keepdims=True)
+        weights = np.exp(log_g - top) * 2.0 * offsets / (z * (2 * n + z - 1)) * node_weights
+        b = analytic._wronskian_cosine_coefficients(n, z) * weights[..., None]  # (pole, node, k)
+        table = np.exp(np.multiply.outer(d, offsets - analytic._CONTOUR_RADIUS))
+        products = (table @ b.swapaxes(0, 1).reshape(len(offsets), -1)).real.reshape(len(d), len(centers), -1)
+        cosines = np.cos(np.multiply.outer(thetas, np.arange(2 * n - 1)))
+        reference = np.einsum("pck,pk->cp", products, cosines)
+        reference *= np.exp(np.multiply.outer(centers + analytic._CONTOUR_RADIUS, d) + top)
+        assert np.all(np.abs(values - reference) <= np.finfo(float).eps * magnitudes)
+
     @pytest.mark.parametrize("n,log_cutoff", [(1, -2.0), (2, np.log(0.001466)), (12, np.log(0.005424))])
     def test_blocks_of_angles_match_one_block(self, n, log_cutoff, monkeypatch):
         # blocks of 7 angles, against one block of all 1001; every row of the

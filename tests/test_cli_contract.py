@@ -76,10 +76,8 @@ ROWS = {
     "compare-grid-0": (1, ["compare", "--a", "hist.csv", "--b", "hist.csv", "--grid", "0"]),
     "compare-samples-bins-3": (0, ["compare", "--a", "samples.txt", "--a-kind", "samples", "--b", "hist.csv",
                                    "--bins", "3"]),
-    "compare-samples-empty": pytest.param(
-        1, ["compare", "--a", "empty.txt", "--a-kind", "samples", "--b", "hist.csv"],
-        marks=pytest.mark.xfail(strict=True, reason="np.loadtxt's 'input contained no data' UserWarning escapes"),
-    ),
+    "compare-samples-empty": (1, ["compare", "--a", "empty.txt", "--a-kind", "samples", "--b", "hist.csv"]),
+    "compare-samples-comments-only": (1, ["compare", "--a", "comments.txt", "--a-kind", "samples", "--b", "hist.csv"]),
 }
 
 
@@ -90,6 +88,7 @@ def _inputs(directory):
     (directory / "header.csv").write_text("bin_left,bin_right,value\n")
     (directory / "samples.txt").write_text("0.2\n0.5\n0.9\n")
     (directory / "empty.txt").write_text("")
+    (directory / "comments.txt").write_text("# no samples\n\n")
     (directory / "bare.cfg").write_text("conductor = 11\nkappa_E 6.3\n")
     (directory / "kept.csv").write_text("an earlier output\n")
 

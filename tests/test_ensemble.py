@@ -92,10 +92,12 @@ class TestSampleExcised:
 
     @pytest.mark.parametrize(
         "n_pairs, log_cutoff, count, workers",
-        [(1, X_TENTH, 2000, 1), (2, X_TENTH, 2000, 1), (3, X_TENTH, 1000, 1), (12, np.log(0.005424), 1000, 2)],
+        [(1, X_TENTH, 2000, 1), (2, X_TENTH, 2000, 1), (1, X_TENTH, 2000, 2), (2, X_TENTH, 2000, 2),
+         (3, X_TENTH, 1000, 1), (12, np.log(0.005424), 1000, 2)],
     )
     def test_batch_split_does_not_change_the_draws(self, monkeypatch, n_pairs, log_cutoff, count, workers):
-        # the accept loop relies on draws not depending on how they are split into batches
+        # the accept loop relies on draws not depending on how they are split into
+        # batches; with two workers at N <= 2 two shares each reuse their own arrays
         spec = ExcisionSpec(n_pairs, log_cutoff)
         a, sa = sample_excised(spec, count, seed=19, workers=workers)
         monkeypatch.setattr(ensemble_module, "_BATCH_SIZE", 257)
@@ -177,8 +179,9 @@ class TestSampleExcised:
         # and Beta variables of 1e-20 give y = 1e-20, so x = 2 - 4y; identity
         # Gaussians give the identity rotation; log Lambda = log 4y clears X = -1e9
         class PhaseZeroGenerator:
-            def random(self, size):
-                return np.full(size, 1 - 2.0**-53)
+            def random(self, out):
+                out[...] = 1 - 2.0**-53
+                return out
 
             def beta(self, a, b, size):
                 return np.full(size, 1e-20)

@@ -8,6 +8,7 @@ from excised_ensemble.analytic import moments_so2n, r1_so2n_unscaled
 from excised_ensemble.errors import DomainError
 from excised_ensemble.haar import (
     _jacobi_matrix_batch,
+    _SmallBatch,
     beta_log_char_poly_batch,
     eigenphases_batch,
     jacobi_eigenphases_batch,
@@ -171,6 +172,28 @@ class TestTridiagonalModel:
         cosines = np.linalg.eigvalsh(_jacobi_matrix_batch(betas))[..., ::-1] / 2
         assert np.max(np.abs(np.cos(phases) - cosines)) <= 4 * np.finfo(float).eps
         assert np.all(np.diff(phases, axis=1) >= 0)
+
+    @pytest.mark.parametrize("n_pairs", [1, 2])
+    def test_reused_small_batch_arrays_match_the_public_functions(self, n_pairs):
+        # a sampler share's N <= 2 arrays do the public functions' arithmetic in
+        # place; the second batch runs in arrays the first one left behind
+        small, log_cutoff = _SmallBatch(n_pairs, 4096), np.log(0.1)
+        for seed in (170, 171):
+            hits = small.draw(np.random.default_rng(seed), log_cutoff).copy()
+            phases = np.empty((np.count_nonzero(hits), n_pairs))
+            small.eigenphases(hits, phases)
+            betas = sample_beta_batch(n_pairs, 4096, np.random.default_rng(seed))
+            keep = beta_log_char_poly_batch(betas) >= log_cutoff
+            assert np.array_equal(hits, keep) and 0 < len(phases) < len(keep)
+            assert np.array_equal(phases, jacobi_eigenphases_batch(betas[keep]))
+
+    def test_reused_dense_stack_matches_a_fresh_one(self):
+        # a share zeroes its stack once and each batch writes only the bands of its rows
+        rng = np.random.default_rng(172)
+        stack = np.zeros((300, 25))
+        jacobi_eigenphases_batch(sample_beta_batch(5, 300, rng), stack)
+        betas = sample_beta_batch(5, 120, rng)
+        assert np.array_equal(jacobi_eigenphases_batch(betas, stack), jacobi_eigenphases_batch(betas))
 
     @pytest.mark.parametrize(
         "betas, expected",
